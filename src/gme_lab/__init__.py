@@ -38,6 +38,7 @@ from .states import (
     product_form_to_dense,
     pure_state_dm,
     xform_from_dense,
+    xform_pt_spectrum,
     xform_to_dense,
 )
 from .gme import (

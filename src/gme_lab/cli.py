@@ -2,8 +2,7 @@
 
 Emits deterministic CSV or JSON (floats printed to 12 significant digits)
 for offline plotting and verification.  Exit codes: 0 success, 2 invalid
-configuration, 3 numerical-contract violation.  The environment variable
-GME_LAB_THREADS caps the number of worker threads used for grid scans.
+configuration, 3 numerical-contract violation.
 """
 
 from __future__ import annotations
@@ -12,14 +11,12 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from . import boundent, gme, separability
 from .linalg import density_matrix_to_json
-from .states import product_form_to_dense
+from .states import isotropic_ghz, product_form_to_dense, xform_pt_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -63,21 +60,6 @@ class RunConfig:
             return [self.p_start]
         step = (self.p_stop - self.p_start) / (self.p_steps - 1)
         return [self.p_start + i * step for i in range(self.p_steps)]
-
-
-def _max_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("GME_LAB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _grid_map(fn, items):
-    workers = _max_workers()
-    if workers == 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))  # order follows the input grid
 
 
 def _emit(rows: list[dict], columns: list[str], config: RunConfig) -> None:
@@ -196,18 +178,16 @@ def cmd_verify_decomposition(config: RunConfig) -> int:
 
 
 def cmd_ppt_scan(config: RunConfig) -> int:
+    if config.n_qubits < 2:
+        raise ConfigError("ppt-scan needs at least 2 qubits")
     cuts = separability.all_bipartitions(config.n_qubits)
-    grid = config.grid()
-
-    def one(p):
-        out = []
+    rows = []
+    for p in config.grid():
+        state = isotropic_ghz(config.n_qubits, p)
         for cut in cuts:
-            eig = separability.pt_min_eig_isotropic(config.n_qubits, p, cut)
-            out.append({"p": p, "cut": str(cut), "min_pt_eig": eig,
-                        "ppt": eig >= -1e-10})
-        return out
-
-    rows = [r for chunk in _grid_map(one, grid) for r in chunk]
+            eig = float(xform_pt_spectrum(state, cut.blocks[0])[0])
+            rows.append({"p": p, "cut": str(cut), "min_pt_eig": eig,
+                         "ppt": eig >= -1e-10})
     _emit(rows, ["p", "cut", "min_pt_eig", "ppt"], config)
     return EXIT_OK
 
@@ -225,9 +205,8 @@ def _parse_param(spec: str, name: str) -> float | None:
 def cmd_witness_scan(config: RunConfig, mode: str, x: str, y: str, z: str,
                      tol: float) -> int:
     px, py, pz = _parse_param(x, "x"), _parse_param(y, "y"), _parse_param(z, "z")
-    grid = config.grid()
-
-    def one(t):
+    rows = []
+    for t in config.grid():
         xv = t if px is None else px
         yv = t if py is None else py
         if mode == "triangle":
@@ -238,13 +217,8 @@ def cmd_witness_scan(config: RunConfig, mode: str, x: str, y: str, z: str,
             zv = None
             closed = boundent.witness_trace_wedge(xv, yv)
             dense = boundent.witness_trace_wedge_dense(xv, yv)
-        return {"x": xv, "y": yv, "z": zv, "closed_form": closed,
-                "dense_trace": dense, "gme_detected": closed < 0}
-
-    try:
-        rows = _grid_map(one, grid)
-    except boundent.NonPositiveParameterError as exc:
-        raise ConfigError(str(exc))
+        rows.append({"x": xv, "y": yv, "z": zv, "closed_form": closed,
+                     "dense_trace": dense, "gme_detected": closed < 0})
     _emit(rows, ["x", "y", "z", "closed_form", "dense_trace", "gme_detected"],
           config)
     worst = max(abs(r["closed_form"] - r["dense_trace"]) for r in rows)

@@ -38,14 +38,8 @@ from functools import lru_cache
 import numpy as np
 
 from .gme import partition_separability_threshold
-from .linalg import (
-    DensityMatrix,
-    min_eigenvalue_hermitian,
-    partial_transpose,
-    permute_subsystems,
-    tensor,
-)
-from .states import Partition, isotropic_ghz, xform_to_dense
+from .linalg import DensityMatrix, permute_subsystems, tensor
+from .states import Partition, isotropic_ghz, xform_pt_spectrum, xform_to_dense
 
 TAU_DECOMP = 1e-10  # absolute tolerance on 64x64 decomposition entries
 
@@ -475,10 +469,9 @@ def pt_min_eig_isotropic(n_qubits: int, p: float, cut: Partition) -> float:
     """Minimum eigenvalue of the partial transpose across a bipartition.
 
     Negative exactly when p exceeds ``ppt_crit``; by the permutation symmetry
-    of the state the sign does not depend on the chosen cut.
+    of the state the sign does not depend on the chosen cut.  Computed
+    blockwise from the X-form by ``xform_pt_spectrum``.
     """
     if len(cut.blocks) != 2 or cut.n_parties != n_qubits:
         raise ValueError("cut must be a bipartition of all parties")
-    dense = xform_to_dense(isotropic_ghz(n_qubits, p))
-    pt = partial_transpose(dense, cut.blocks[0])
-    return min_eigenvalue_hermitian(pt.mat)
+    return float(xform_pt_spectrum(isotropic_ghz(n_qubits, p), cut.blocks[0])[0])

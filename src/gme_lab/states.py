@@ -43,6 +43,7 @@ __all__ = [
     "isotropic_p_range",
     "xform_to_dense",
     "xform_from_dense",
+    "xform_pt_spectrum",
     "pure_state_dm",
     "product_form_tensor",
     "product_form_project",
@@ -82,6 +83,8 @@ class XFormState:
         n = 2 ** (self.n_qubits - 1)
         if not (len(a) == len(b) == len(z) == n):
             raise ValueError(f"expected vectors of length {n} for {self.n_qubits} qubits")
+        if not all(np.isfinite(arr).all() for arr in (a, b, z)):
+            raise ValueError("X-form entries must be finite")
         if a.min() < -TAU_X or b.min() < -TAU_X:
             raise ValueError("diagonal entries must be nonnegative")
         # PSD of every 2x2 block: |z_k|^2 <= a_k b_k
@@ -157,6 +160,30 @@ def xform_from_dense(dm: DensityMatrix) -> XFormState:
     b = dm.mat[d - 1 - idx[:n], d - 1 - idx[:n]].real
     z = dm.mat[idx[:n], d - 1 - idx[:n]]
     return XFormState(len(dm.dims), a, b, z)
+
+
+def xform_pt_spectrum(x: XFormState, subsystems) -> np.ndarray:
+    """Ascending eigenvalues of the partial transpose of an X-form operator.
+
+    Transposing the qubits in ``subsystems`` keeps X-form: with m the bitmask
+    of those qubits (qubit 0 the most significant bit), row r of the result
+    carries the anti-diagonal coherence of row r ^ m and the diagonal is
+    unchanged.  The spectrum is therefore that of the 2^(N-1) blocks
+    [[a_r, z'_r], [z'_r*, b_r]], (a+b)/2 +- hypot((a-b)/2, |z'_r|), and no
+    2^N-dimensional matrix is built.  An empty ``subsystems`` (or all
+    qubits) gives the spectrum of ``x`` itself.
+    """
+    subs = {int(s) for s in subsystems}
+    if any(not 0 <= s < x.n_qubits for s in subs):
+        raise ValueError(f"subsystems {sorted(subs)} out of range for {x.n_qubits} qubits")
+    mask = sum(1 << (x.n_qubits - 1 - s) for s in subs)
+    abs_z = np.abs(x.z)
+    # |rho[r, D-1-r]| for every row r: the lower half mirrors the upper.
+    coherence = np.concatenate([abs_z, abs_z[::-1]])
+    z_pt = coherence[np.arange(len(abs_z)) ^ mask]
+    mean = (x.a + x.b) / 2
+    radius = np.hypot((x.a - x.b) / 2, z_pt)
+    return np.sort(np.concatenate([mean - radius, mean + radius]))
 
 
 def pure_state_dm(vector: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:

@@ -5,7 +5,9 @@ import io
 import json
 
 import numpy as np
+import pytest
 
+from gme_lab import linalg, separability
 from gme_lab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, fmt12, main
 
 
@@ -130,6 +132,35 @@ def test_ppt_scan(capsys):
     grid = sorted(by_p)
     assert by_p[grid[0]] == {"true"}   # p = 0.1 below the threshold
     assert by_p[grid[-1]] == {"false"}  # p = 0.3 above
+
+
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_ppt_scan_rejects_fewer_than_two_qubits(capsys, n):
+    code, out, err = run(capsys, "ppt-scan", "--n", n)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ")
+
+
+def test_ppt_scan_builds_no_dense_matrix(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("dense route taken")
+
+    monkeypatch.setattr(separability, "xform_to_dense", boom)
+    monkeypatch.setattr(linalg, "partial_transpose", boom)
+    monkeypatch.setattr(linalg.DensityMatrix, "__post_init__", boom)
+    monkeypatch.setattr(np.linalg, "eigvalsh", boom)
+    n = 6
+    code, out, _ = run(capsys, "ppt-scan", "--n", str(n), "--p-start", "-0.01",
+                       "--p-stop", "0.99", "--p-steps", "11")
+    assert code == EXIT_OK
+    _, rows = parse_csv(out)
+    assert len(rows) == 11 * (2 ** (n - 1) - 1)
+    for r in rows:
+        p = float(r[0])
+        expected = (1 - p) / 2 ** n - abs(p) / 2
+        assert abs(float(r[2]) - expected) <= 1e-12
+        assert r[3] == ("true" if expected >= -1e-10 else "false")
 
 
 # -------------------------------------------------------------- witness-scan

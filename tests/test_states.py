@@ -1,9 +1,12 @@
 """Tests for the state families and the product-form representation."""
 
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
 
-from gme_lab.linalg import DensityMatrix, permute_subsystems, tensor
+from gme_lab.linalg import DensityMatrix, partial_transpose, permute_subsystems, tensor
 from gme_lab.states import (
     NotXFormError,
     Partition,
@@ -21,6 +24,7 @@ from gme_lab.states import (
     product_form_to_json,
     pure_state_dm,
     xform_from_dense,
+    xform_pt_spectrum,
     xform_to_dense,
 )
 
@@ -165,6 +169,52 @@ def test_xform_block_positivity_rejected():
     with pytest.raises(ValueError):
         XFormState(2, np.array([0.25, 0.25]), np.array([0.25, 0.25]),
                    np.array([0.3, 0.0], dtype=complex))
+
+
+@pytest.mark.parametrize("field", ["a", "b", "z"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_xform_rejects_non_finite(field, bad):
+    from gme_lab.states import XFormState
+
+    entries = {"a": [0.25, 0.25], "b": [0.25, 0.25], "z": [0.0, 0.0]}
+    entries[field] = [bad, 0.0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a RuntimeWarning is not a rejection
+        with pytest.raises(ValueError, match="finite"):
+            XFormState(2, entries["a"], entries["b"], entries["z"])
+
+
+def _random_xform(n_qubits, rng):
+    """Normalized X-form state with complex z, a != b and |z|^2 <= a b."""
+    from gme_lab.states import XFormState
+
+    n = 2 ** (n_qubits - 1)
+    a = rng.uniform(0.1, 1.0, n)
+    b = rng.uniform(0.1, 1.0, n)
+    z = (np.sqrt(a * b) * rng.uniform(0.0, 1.0, n)
+         * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n)))
+    tr = a.sum() + b.sum()
+    return XFormState(n_qubits, a / tr, b / tr, z / tr)
+
+
+@pytest.mark.parametrize("n_qubits", [2, 3, 4, 5, 6])
+def test_xform_pt_spectrum_matches_dense_oracle(n_qubits):
+    rng = np.random.default_rng(n_qubits)
+    for _ in range(3):
+        x = _random_xform(n_qubits, rng)
+        dense = xform_to_dense(x)
+        for r in range(n_qubits + 1):  # includes the empty set and all qubits
+            for subs in combinations(range(n_qubits), r):
+                oracle = np.linalg.eigvalsh(partial_transpose(dense, subs).mat)
+                got = xform_pt_spectrum(x, subs)
+                assert np.abs(got - oracle).max() <= 1e-13, subs
+
+
+def test_xform_pt_spectrum_rejects_out_of_range():
+    x = isotropic_ghz(3, 0.3)
+    for subs in ([3], [-1], [0, 5]):
+        with pytest.raises(ValueError):
+            xform_pt_spectrum(x, subs)
 
 
 # -------------------------------------------------------------- partition
