@@ -30,6 +30,7 @@ party pair sharing them: x to parties {1,2}, y to {1,3}, z to {2,3}.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -42,8 +43,8 @@ from .states import (
     ZeroProbabilityError,
     product_form_partial_trace,
     product_form_project,
+    product_form_submatrix,
     product_form_tensor,
-    product_form_to_dense,
 )
 
 __all__ = [
@@ -70,13 +71,14 @@ __all__ = [
 
 
 class NonPositiveParameterError(ValueError):
-    """Raised when a pair-state parameter is not strictly positive."""
+    """Raised when a pair-state parameter is not strictly positive and finite."""
 
 
 def qutrit_ppt_normalization(p: float) -> float:
     """Normalization N_p = 3 (1 + p + 1/p) of the PPT pair family."""
-    if p <= 0:
-        raise NonPositiveParameterError(f"parameter must be positive, got {p}")
+    if not 0 < p < math.inf:
+        raise NonPositiveParameterError(
+            f"parameter must be positive and finite, got {p}")
     return 3.0 * (1.0 + p + 1.0 / p)
 
 
@@ -117,15 +119,18 @@ def triangle_state(x: float, y: float, z: float) -> ProductFormState:
     return ProductFormState((ProductTerm(1.0, factors),), (3,) * 6)
 
 
-@lru_cache(maxsize=1)
-def _triangle_isometry() -> np.ndarray:
-    """729x27 isometry onto span{|ii>_{B1 C1} |jj>_{A2 C2} |kk>_{A3 B3}}."""
-    V = np.zeros((729, 27), dtype=complex)
-    for i, j, k in itertools.product(range(3), repeat=3):
-        # (A2, A3, B1, B3, C1, C2) = (j, k, i, k, i, j)
-        six = ((((j * 3 + k) * 3 + i) * 3 + k) * 3 + i) * 3 + j
-        V[six, (i * 3 + j) * 3 + k] = 1.0
-    return V
+# Dense-expansion index of |ii>_{B1 C1} |jj>_{A2 C2} |kk>_{A3 B3}, listed in
+# the subspace order (i*3 + j)*3 + k: (A2, A3, B1, B3, C1, C2) = (j, k, i, k, i, j).
+_TRIANGLE_ROWS = np.array([
+    ((((j * 3 + k) * 3 + i) * 3 + k) * 3 + i) * 3 + j
+    for i, j, k in itertools.product(range(3), repeat=3)])
+
+
+def _normalized_projection(reduced: np.ndarray) -> tuple[DensityMatrix, float]:
+    prob = float(np.trace(reduced).real)
+    if prob <= 1e-14:
+        raise ZeroProbabilityError("projection annihilates the state")
+    return DensityMatrix(reduced / prob, (3, 3, 3)), prob
 
 
 def project_triangle_to_D(s: ProductFormState) -> tuple[DensityMatrix, float]:
@@ -138,13 +143,7 @@ def project_triangle_to_D(s: ProductFormState) -> tuple[DensityMatrix, float]:
     """
     if s.global_dims != (3,) * 6:
         raise ValueError("expected a six-qutrit state")
-    dense = product_form_to_dense(s).mat
-    V = _triangle_isometry()
-    reduced = V.conj().T @ dense @ V
-    prob = float(np.trace(reduced).real)
-    if prob <= 1e-14:
-        raise ZeroProbabilityError("projection annihilates the state")
-    return DensityMatrix(reduced / prob, (3, 3, 3)), prob
+    return _normalized_projection(product_form_submatrix(s, _TRIANGLE_ROWS))
 
 
 _W3_DIAGONAL = (
@@ -174,19 +173,15 @@ def witness_trace_triangle(x: float, y: float, z: float) -> float:
     Equals the witness trace of the unnormalized twin-diagonal projection of
     ``triangle_state(x, y, z)``; negative values certify GME of the triangle.
     """
-    for v in (x, y, z):
-        if v <= 0:
-            raise NonPositiveParameterError(f"parameter must be positive, got {v}")
     norms = (qutrit_ppt_normalization(x) * qutrit_ppt_normalization(y)
              * qutrit_ppt_normalization(z))
     return 3.0 * (x * y + z / x + y * z - 1.0) / norms
 
 
 def witness_trace_triangle_dense(x: float, y: float, z: float) -> float:
-    """Witness trace of the unnormalized projection, computed densely."""
-    dense = product_form_to_dense(triangle_state(x, y, z)).mat
-    V = _triangle_isometry()
-    reduced = V.conj().T @ dense @ V
+    """Witness trace of the unnormalized projection, from the 27x27
+    twin-diagonal submatrix gathered from the pair-state entries."""
+    reduced = product_form_submatrix(triangle_state(x, y, z), _TRIANGLE_ROWS)
     return float(np.trace(witness_w3().mat @ reduced).real)
 
 
@@ -200,14 +195,10 @@ def wedge_state(x: float, y: float) -> ProductFormState:
     return ProductFormState((ProductTerm(1.0, factors),), (3,) * 4)
 
 
-@lru_cache(maxsize=1)
-def _wedge_isometry() -> np.ndarray:
-    """81x27 isometry onto span{|i>_{B1} |j>_{A2} |kk>_{A3 B3}}."""
-    V = np.zeros((81, 27), dtype=complex)
-    for i, j, k in itertools.product(range(3), repeat=3):
-        four = ((j * 3 + k) * 3 + i) * 3 + k  # (A2, A3, B1, B3) = (j, k, i, k)
-        V[four, (i * 3 + j) * 3 + k] = 1.0
-    return V
+# Dense-expansion index of |i>_{B1} |j>_{A2} |kk>_{A3 B3}, listed in the
+# subspace order (i*3 + j)*3 + k: (A2, A3, B1, B3) = (j, k, i, k).
+_WEDGE_ROWS = np.array([((j * 3 + k) * 3 + i) * 3 + k
+                        for i, j, k in itertools.product(range(3), repeat=3)])
 
 
 def project_wedge_to_D(s: ProductFormState) -> tuple[DensityMatrix, float]:
@@ -215,29 +206,19 @@ def project_wedge_to_D(s: ProductFormState) -> tuple[DensityMatrix, float]:
     single qutrits, party 3 is projected onto its twin-diagonal subspace."""
     if s.global_dims != (3,) * 4:
         raise ValueError("expected a four-qutrit state")
-    dense = product_form_to_dense(s).mat
-    V = _wedge_isometry()
-    reduced = V.conj().T @ dense @ V
-    prob = float(np.trace(reduced).real)
-    if prob <= 1e-14:
-        raise ZeroProbabilityError("projection annihilates the state")
-    return DensityMatrix(reduced / prob, (3, 3, 3)), prob
+    return _normalized_projection(product_form_submatrix(s, _WEDGE_ROWS))
 
 
 def witness_trace_wedge(x: float, y: float) -> float:
     """Closed form 3 (x + y + x y - 1) / (N_x N_y) for the projected wedge."""
-    for v in (x, y):
-        if v <= 0:
-            raise NonPositiveParameterError(f"parameter must be positive, got {v}")
-    return 3.0 * (x + y + x * y - 1.0) / (
-        qutrit_ppt_normalization(x) * qutrit_ppt_normalization(y))
+    norms = qutrit_ppt_normalization(x) * qutrit_ppt_normalization(y)
+    return 3.0 * (x + y + x * y - 1.0) / norms
 
 
 def witness_trace_wedge_dense(x: float, y: float) -> float:
-    """Witness trace of the unnormalized wedge projection, computed densely."""
-    dense = product_form_to_dense(wedge_state(x, y)).mat
-    V = _wedge_isometry()
-    reduced = V.conj().T @ dense @ V
+    """Witness trace of the unnormalized wedge projection, from the 27x27
+    submatrix gathered from the pair-state entries."""
+    reduced = product_form_submatrix(wedge_state(x, y), _WEDGE_ROWS)
     return float(np.trace(witness_w3().mat @ reduced).real)
 
 
@@ -284,8 +265,9 @@ def biseparable_source_state(p1: float, p2: float, p3: float,
     Terms with zero weight are omitted.
     """
     probs = (p1, p2, p3)
-    if any(pi < 0 for pi in probs) or abs(sum(probs) - 1.0) > 1e-12:
-        raise ValueError(f"probabilities {probs} must be nonnegative and sum to 1")
+    if not all(0 <= pi < math.inf for pi in probs) or abs(sum(probs) - 1.0) > 1e-12:
+        raise ValueError(
+            f"probabilities {probs} must be finite, nonnegative and sum to 1")
     unc = uncorrelated_party_state()
     flag = _flag_dm()
     pair_param = {1: z, 2: y, 3: x}  # term i carries the pair missing party i
@@ -327,15 +309,15 @@ _KEPT = (1, 2, 12, 14, 24, 25)         # A2^(1), A3^(1), A1^(2), A3^(2), A1^(3),
 
 def _restrict_carriers_to_qutrits(s: ProductFormState) -> ProductFormState:
     """Drop the unpopulated flag direction of every dim-4 carrier."""
-    E = _EMBED
     new_terms = []
     for term in s.terms:
         factors = []
         for f in term.factors:
-            iso = E
-            for _ in range(f.n_subsystems - 1):
-                iso = np.kron(iso, E)
-            reduced = iso.conj().T @ f.mat @ iso
+            # Carrier index of every qutrit basis state: levels 1..3 per carrier.
+            rows = np.zeros(1, dtype=np.int64)
+            for _ in range(f.n_subsystems):
+                rows = (rows[:, None] * FLAG_DIM + np.arange(1, FLAG_DIM)).ravel()
+            reduced = f.mat[np.ix_(rows, rows)]
             leak = abs(float(np.trace(reduced).real) - f.trace)
             if leak > 1e-12:
                 raise ValueError(f"carrier has {leak:.2e} weight on the flag direction")

@@ -15,7 +15,7 @@ import sys
 from dataclasses import dataclass
 
 from . import boundent, gme, separability
-from .linalg import density_matrix_to_json
+from .linalg import write_density_matrix_json
 from .states import isotropic_ghz, product_form_to_dense, xform_pt_spectrum
 
 EXIT_OK = 0
@@ -74,6 +74,11 @@ def _emit(rows: list[dict], columns: list[str], config: RunConfig) -> None:
     else:
         payload = [{c: _jsonval(row.get(c)) for c in columns} for row in rows]
         text = json.dumps(payload, indent=2) + "\n"
+    _write(text, config)
+
+
+def _write(text: str, config: RunConfig) -> None:
+    """The one output path: write to ``--out`` if given, else to stdout."""
     if config.output_path:
         with open(config.output_path, "w") as fh:
             fh.write(text)
@@ -160,12 +165,7 @@ def cmd_verify_decomposition(config: RunConfig) -> int:
             "valid": r["valid"],
             "gamma1_correction_applied": r["gamma1_correction_applied"],
         } for r in rows]
-        text = json.dumps(payload, indent=2) + "\n"
-        if config.output_path:
-            with open(config.output_path, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(json.dumps(payload, indent=2) + "\n", config)
     else:
         _emit(rows, ["p", "residual_max", "weight_rho_diag", "weight_gamma_1",
                      "weight_gamma_2", "weight_sigma", "diag_min", "valid",
@@ -239,9 +239,9 @@ def cmd_locc_demo(config: RunConfig, probs: tuple[float, float, float],
     except (ValueError, boundent.NonPositiveParameterError) as exc:
         raise ConfigError(str(exc))
     result = boundent.simulate_locc_triangle((source, source, source))
-    produced = product_form_to_dense(result.state).mat
+    produced = product_form_to_dense(result.state)
     expected = product_form_to_dense(boundent.triangle_state(x, y, z)).mat
-    residual = float(abs(produced - expected).max())
+    residual = float(abs(produced.mat - expected).max())
     closed = boundent.witness_trace_triangle(x, y, z)
     dense = boundent.witness_trace_triangle_dense(x, y, z)
     detected = closed < 0
@@ -258,16 +258,10 @@ def cmd_locc_demo(config: RunConfig, probs: tuple[float, float, float],
             f"GME activated: witness = {fmt12(closed)} < 0" if detected
             else f"not detected: witness = {fmt12(closed)} >= 0"),
     }
-    text = json.dumps(report, indent=2) + "\n"
-    if config.output_path:
-        with open(config.output_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, indent=2) + "\n", config)
     if dump_state:
-        dense_dm = product_form_to_dense(result.state)
         with open(dump_state, "w") as fh:
-            json.dump(density_matrix_to_json(dense_dm), fh)
+            write_density_matrix_json(produced, fh)
             fh.write("\n")
     if residual > tol or abs(closed - dense) > 1e-10:
         print(f"protocol residual {residual:.3e} violates tolerance {tol:.3e}",

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, TAU_TRACE, hadamard
-from .states import XFormState, isotropic_ghz, xform_from_dense, xform_to_dense
+from .states import XFormState
 
 __all__ = [
     "ZeroTraceError",
@@ -176,15 +176,3 @@ def activation_classification(n_qubits: int, p: float, k_max: int) -> Activation
             copies = k
             break
     return ActivationReport(n_qubits, p, k_max, copies, part_sep)
-
-
-def two_copy_cross_check(n_qubits: int, p: float) -> float:
-    """Dense-path GM concurrence of the merged two-copy state.
-
-    Builds the dense Schur product of two copies and evaluates the
-    concurrence from the re-extracted X-form data; agrees with
-    ``iterated_hadamard(..., 2)`` and exists for cross-validation.
-    """
-    dense = xform_to_dense(isotropic_ghz(n_qubits, p))
-    merged = hadamard_map(dense, dense)
-    return gm_concurrence_xform(xform_from_dense(merged))

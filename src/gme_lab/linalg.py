@@ -8,8 +8,9 @@ exactly the ordering produced by ``numpy.kron``.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TextIO
 
 import numpy as np
 
@@ -162,6 +163,29 @@ def density_matrix_to_json(dm: DensityMatrix) -> dict:
         "re": dm.mat.real.tolist(),
         "im": dm.mat.imag.tolist(),
     }
+
+
+def write_density_matrix_json(dm: DensityMatrix, fh: TextIO) -> None:
+    """Write the bytes of ``json.dump(density_matrix_to_json(dm), fh)``.
+
+    The matrix is streamed one row at a time through ``json.dumps``, whose C
+    encoder is far faster than the pure-Python one ``json.dump`` uses, and
+    no list of the whole matrix is ever held.  Rows that are exactly zero
+    (no -0.0) share one precomputed string.
+    """
+    zero_row = json.dumps([0.0] * dm.dim)
+    fh.write('{"dims": ' + json.dumps(list(dm.dims)))
+    for key, part in (("re", dm.mat.real), ("im", dm.mat.imag)):
+        fh.write(f', "{key}": [')
+        for i, row in enumerate(part):
+            if i:
+                fh.write(", ")
+            if row.any() or np.signbit(row).any():
+                fh.write(json.dumps(row.tolist()))
+            else:
+                fh.write(zero_row)
+        fh.write("]")
+    fh.write("}")
 
 
 def density_matrix_from_json(obj: dict, normalized: bool = True,

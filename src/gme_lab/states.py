@@ -49,6 +49,7 @@ __all__ = [
     "product_form_project",
     "product_form_partial_trace",
     "product_form_to_dense",
+    "product_form_submatrix",
     "product_form_to_json",
     "product_form_from_json",
 ]
@@ -368,6 +369,30 @@ def product_form_to_dense(s: ProductFormState, max_dim: int = 4096) -> DensityMa
             block = np.kron(block, f.mat)
         out += block
     return DensityMatrix(out, s.global_dims, normalized=s.normalized, state=False)
+
+
+def product_form_submatrix(s: ProductFormState, rows) -> np.ndarray:
+    """Principal submatrix ``dense[np.ix_(rows, rows)]`` of the dense expansion.
+
+    Each entry of a term is the weight times one entry per factor, gathered
+    from the factors directly, so nothing of the full dimension is built.
+    Weight first, then factors left to right, then terms in order: the same
+    arithmetic as :func:`product_form_to_dense`, hence bit-identical values.
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    d = int(np.prod(s.global_dims, dtype=np.int64))
+    if rows.ndim != 1 or (rows.size and not 0 <= rows.min() <= rows.max() < d):
+        raise ValueError(f"rows must be a vector of indices in [0, {d})")
+    out = np.zeros((rows.size, rows.size), dtype=complex)
+    for term in s.terms:
+        block = np.array([[term.weight]], dtype=complex)
+        stride = d
+        for f in term.factors:
+            stride //= f.dim
+            local = rows // stride % f.dim
+            block = block * f.mat[np.ix_(local, local)]
+        out += block
+    return out
 
 
 def product_form_to_json(s: ProductFormState) -> dict:

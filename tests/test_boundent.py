@@ -1,5 +1,6 @@
 """Tests for the PPT pair family, triangle/wedge witnesses, and the protocol."""
 
+import itertools
 import math
 
 import numpy as np
@@ -58,11 +59,13 @@ def test_pair_pt_spectrum_structure():
         assert np.allclose(spectrum, expected, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_pair_rejects_nonpositive_parameter():
-    with pytest.raises(NonPositiveParameterError):
-        qutrit_ppt_state(0.0)
-    with pytest.raises(NonPositiveParameterError):
-        qutrit_ppt_state(-1.0)
+    for p in (0.0, -1.0, math.nan, math.inf, -math.inf):
+        with pytest.raises(NonPositiveParameterError):
+            qutrit_ppt_normalization(p)
+        with pytest.raises(NonPositiveParameterError):
+            qutrit_ppt_state(p)
 
 
 # ---------------------------------------------------------------- witness
@@ -163,11 +166,48 @@ def test_triangle_detection_region(y, detected):
     assert (witness_trace_triangle(1.0, y, y) < 0) == detected
 
 
+@pytest.mark.filterwarnings("error")
 def test_triangle_rejects_nonpositive():
-    with pytest.raises(NonPositiveParameterError):
-        triangle_state(0.0, 1.0, 1.0)
-    with pytest.raises(NonPositiveParameterError):
-        witness_trace_triangle(1.0, -0.3, 0.3)
+    for bad in (0.0, -0.3, math.nan, math.inf):
+        with pytest.raises(NonPositiveParameterError):
+            triangle_state(bad, 1.0, 1.0)
+        for args in ((bad, 0.3, 0.3), (1.0, bad, 0.3), (1.0, 0.3, bad)):
+            with pytest.raises(NonPositiveParameterError):
+                witness_trace_triangle(*args)
+        for args in ((bad, 0.3), (0.3, bad)):
+            with pytest.raises(NonPositiveParameterError):
+                witness_trace_wedge(*args)
+
+
+def _isometry(rows, dim):
+    """0/1 isometry V with V[rows[c], c] = 1: the independent projection oracle."""
+    V = np.zeros((dim, 27), dtype=complex)
+    for col, (i, j, k) in enumerate(itertools.product(range(3), repeat=3)):
+        V[rows(i, j, k), col] = 1.0
+    return V
+
+
+# (A2, A3, B1, B3, C1, C2) = (j, k, i, k, i, j) and (A2, A3, B1, B3) = (j, k, i, k).
+TRIANGLE_V = _isometry(
+    lambda i, j, k: ((((j * 3 + k) * 3 + i) * 3 + k) * 3 + i) * 3 + j, 729)
+WEDGE_V = _isometry(lambda i, j, k: ((j * 3 + k) * 3 + i) * 3 + k, 81)
+
+
+def test_twin_diagonal_routes_match_dense_isometry_oracle():
+    rng = np.random.default_rng(44)
+    w3 = witness_w3().mat
+    for _ in range(10):
+        x, y, z = rng.uniform(0.05, 5.0, size=3)
+        for s, V, project, witness in (
+                (triangle_state(x, y, z), TRIANGLE_V, project_triangle_to_D,
+                 lambda: witness_trace_triangle_dense(x, y, z)),
+                (wedge_state(x, y), WEDGE_V, project_wedge_to_D,
+                 lambda: witness_trace_wedge_dense(x, y))):
+            oracle = V.conj().T @ product_form_to_dense(s).mat @ V
+            state, prob = project(s)
+            assert prob == float(np.trace(oracle).real)
+            assert np.array_equal(state.mat, oracle / prob)
+            assert witness() == float(np.trace(w3 @ oracle).real)
 
 
 # -------------------------------------------------------------- wedge state
@@ -210,10 +250,10 @@ def test_source_single_term_leaves_party_one_uncorrelated():
 
 
 def test_source_validates_probabilities():
-    with pytest.raises(ValueError):
-        biseparable_source_state(0.5, 0.2, 0.2, 1, 1, 1)
-    with pytest.raises(ValueError):
-        biseparable_source_state(-0.1, 0.6, 0.5, 1, 1, 1)
+    for probs in ((0.5, 0.2, 0.2), (-0.1, 0.6, 0.5), (math.nan, 0.5, 0.5),
+                  (0.5, math.nan, 0.5), (0.5, 0.5, math.nan), (math.inf, 0.5, 0.5)):
+        with pytest.raises(ValueError):
+            biseparable_source_state(*probs, 1, 1, 1)
 
 
 def test_source_terms_ppt_across_every_party_cut():

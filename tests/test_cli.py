@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from gme_lab import linalg, separability
+from gme_lab import boundent, cli, linalg, separability, states
 from gme_lab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, fmt12, main
 
 
@@ -195,6 +195,24 @@ def test_witness_scan_rejects_nonpositive(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_witness_scan_builds_no_dense_matrix(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("dense route taken")
+
+    for module in (states, boundent, cli):
+        monkeypatch.setattr(module, "product_form_to_dense", boom, raising=False)
+    monkeypatch.setattr(np, "kron", boom)
+    for argv in (("--mode", "triangle", "--x", "0.7", "--y", "t", "--z", "t"),
+                 ("--mode", "wedge", "--x", "t", "--y", "1.3")):
+        code, out, _ = run(capsys, "witness-scan", *argv,
+                           "--p-start", "0.1", "--p-stop", "3", "--p-steps", "7")
+        assert code == EXIT_OK
+        _, rows = parse_csv(out)
+        assert len(rows) == 7
+        for r in rows:
+            assert abs(float(r[3]) - float(r[4])) <= 1e-13
+
+
 # ----------------------------------------------------------------- locc-demo
 
 def test_locc_demo_default_detects_gme(capsys):
@@ -228,6 +246,42 @@ def test_locc_demo_dump_state(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["dims"] == [3, 3, 3, 3, 3, 3]
     assert len(payload["re"]) == 729
+
+
+def test_locc_demo_dump_state_equals_json_dump(tmp_path, capsys):
+    probs, params = (0.2, 0.3, 0.5), (0.7, 1.3, 0.4)
+    out_path = tmp_path / "state.json"
+    argv = ["locc-demo", "--dump-state", str(out_path)]
+    for name, value in zip(("p1", "p2", "p3", "x", "y", "z"), probs + params):
+        argv += [f"--{name}", repr(value)]
+    code, _, _ = run(capsys, *argv)
+    assert code == EXIT_OK
+    source = boundent.biseparable_source_state(*probs, *params)
+    produced = boundent.simulate_locc_triangle((source, source, source)).state
+    oracle = io.StringIO()
+    json.dump(linalg.density_matrix_to_json(states.product_form_to_dense(produced)), oracle)
+    oracle.write("\n")
+    assert out_path.read_text() == oracle.getvalue()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("locc-demo", "--p1", "nan"),
+    ("locc-demo", "--p2", "nan"),
+    ("locc-demo", "--p3", "nan"),
+    ("locc-demo", "--x", "inf"),
+    ("locc-demo", "--y", "nan"),
+    ("locc-demo", "--z", "inf"),
+    ("witness-scan", "--x", "nan"),
+    ("witness-scan", "--x", "inf", "--y", "0.3", "--z", "0.3", "--p-steps", "1"),
+    ("witness-scan", "--mode", "wedge", "--x", "t", "--y", "inf"),
+    ("witness-scan", "--mode", "wedge", "--x", "nan", "--y", "t"),
+], ids=" ".join)
+def test_non_finite_parameters_rejected(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 # ------------------------------------------------------------- determinism

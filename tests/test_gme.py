@@ -13,10 +13,21 @@ from gme_lab.gme import (
     k_copy_threshold,
     partition_separability_threshold,
     single_copy_threshold,
-    two_copy_cross_check,
 )
 from gme_lab.linalg import DensityMatrix
-from gme_lab.states import isotropic_ghz, isotropic_p_range, xform_to_dense
+from gme_lab.states import isotropic_ghz, isotropic_p_range, xform_from_dense, xform_to_dense
+
+
+def two_copy_cross_check(n_qubits: int, p: float) -> float:
+    """Dense-path GM concurrence of the merged two-copy state.
+
+    Builds the dense Schur product of two copies and evaluates the
+    concurrence from the re-extracted X-form data; agrees with
+    ``iterated_hadamard(..., 2)`` and exists for cross-validation.
+    """
+    dense = xform_to_dense(isotropic_ghz(n_qubits, p))
+    merged = hadamard_map(dense, dense)
+    return gm_concurrence_xform(xform_from_dense(merged))
 
 
 # ------------------------------------------------------------- concurrence

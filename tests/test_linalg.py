@@ -1,5 +1,8 @@
 """Tests for the dense multipartite linear algebra layer."""
 
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -13,6 +16,7 @@ from gme_lab.linalg import (
     partial_transpose,
     permute_subsystems,
     tensor,
+    write_density_matrix_json,
 )
 from gme_lab.states import isotropic_ghz, pure_state_dm, xform_from_dense, xform_to_dense
 
@@ -248,3 +252,28 @@ def test_density_matrix_json_roundtrip():
     back = density_matrix_from_json(obj)
     assert back.dims == rho.dims
     assert np.allclose(back.mat, rho.mat)
+
+
+def test_streamed_json_equals_json_dump():
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    complex_state = DensityMatrix(g @ g.conj().T / np.trace(g @ g.conj().T).real, (2, 3))
+    signed_zeros = np.zeros((4, 4), dtype=complex)
+    signed_zeros[0, 0] = signed_zeros[3, 3] = 0.5
+    signed_zeros[1, 2] = complex(-0.0, -0.0)   # -0.0 must not take the zero-row path
+    signed_zeros[2, 1] = complex(0.0, -0.0)
+    with_nan = np.eye(3, dtype=complex) / 3
+    with_nan[1, 1] = complex(np.nan, 0.0)
+    with_nan[2, 0] = with_nan[0, 2] = complex(0.0, np.nan)
+    cases = [
+        complex_state,
+        DensityMatrix(signed_zeros, (2, 2)),
+        DensityMatrix(np.zeros((4, 4)), (2, 2), normalized=False),  # every row zero
+        DensityMatrix(with_nan, (3,), normalized=False, state=False),
+        iso3(0.3),
+    ]
+    for dm in cases:
+        oracle, streamed = io.StringIO(), io.StringIO()
+        json.dump(density_matrix_to_json(dm), oracle)
+        write_density_matrix_json(dm, streamed)
+        assert streamed.getvalue() == oracle.getvalue()

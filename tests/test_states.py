@@ -19,6 +19,7 @@ from gme_lab.states import (
     product_form_from_json,
     product_form_partial_trace,
     product_form_project,
+    product_form_submatrix,
     product_form_tensor,
     product_form_to_dense,
     product_form_to_json,
@@ -337,6 +338,45 @@ def test_product_json_roundtrip():
     assert back.global_dims == s.global_dims
     assert np.allclose(product_form_to_dense(back).mat,
                        product_form_to_dense(s).mat)
+
+
+def test_product_submatrix_equals_dense_oracle_exactly():
+    rng = np.random.default_rng(17)
+
+    def random_operator(dims):
+        d = int(np.prod(dims))
+        g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        m = g @ g.conj().T
+        return DensityMatrix(m / np.trace(m).real, dims)
+
+    for _ in range(60):
+        global_dims = tuple(int(d) for d in rng.integers(2, 5, size=rng.integers(1, 5)))
+        n = len(global_dims)
+        terms = []
+        weights = rng.dirichlet(np.ones(rng.integers(1, 4)))
+        for w in weights:
+            # Each term groups adjacent subsystems into factors its own way.
+            cuts = sorted({int(c) for c in rng.integers(1, n, size=rng.integers(0, n))}) \
+                if n > 1 else []
+            bounds = [0, *cuts, n]
+            factors = tuple(random_operator(global_dims[lo:hi])
+                            for lo, hi in zip(bounds, bounds[1:]))
+            terms.append(ProductTerm(float(w), factors))
+        s = ProductFormState(tuple(terms), global_dims)
+        d = int(np.prod(global_dims))
+        rows = rng.choice(d, size=rng.integers(1, d + 1), replace=rng.random() < 0.3)
+        got = product_form_submatrix(s, rows)
+        want = product_form_to_dense(s).mat[np.ix_(rows, rows)]
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got.view(float)), np.signbit(want.view(float)))
+
+
+def test_product_submatrix_rejects_out_of_range_rows():
+    s = ProductFormState((ProductTerm(1.0, (qutrit_mixed(), qutrit_mixed())),), (3, 3))
+    for rows in ([0, 9], [-1], [[0, 1]]):
+        with pytest.raises(ValueError):
+            product_form_submatrix(s, rows)
 
 
 def test_product_dense_guard():
