@@ -11,6 +11,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -50,10 +51,15 @@ class RunConfig:
     def __post_init__(self):
         if self.p_steps < 1:
             raise ConfigError("grid needs at least 1 step")
+        if not (math.isfinite(self.p_start) and math.isfinite(self.p_stop)):
+            raise ConfigError("grid start and stop must be finite")
         if self.p_start > self.p_stop:
             raise ConfigError("grid start must not exceed stop")
         if self.output_format not in ("csv", "json"):
             raise ConfigError(f"unknown format {self.output_format!r}")
+        # ``not tol >= 0`` also catches NaN, which would pass every ``> tol`` check.
+        if self.tolerance is not None and not self.tolerance >= 0:
+            raise ConfigError(f"tolerance {self.tolerance} is not a nonnegative number")
 
     def grid(self) -> list[float]:
         if self.p_steps == 1:

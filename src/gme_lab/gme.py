@@ -85,6 +85,8 @@ def gm_concurrence_xform(x: XFormState) -> float:
 
 def gm_concurrence_isotropic(n_qubits: int, p: float) -> float:
     """Closed form max(0, |p| - (1-p)(1 - 2^(1-N))) for the isotropic family."""
+    if n_qubits < 2:
+        raise ValueError("need at least 2 qubits")
     return max(0.0, abs(p) - (1 - p) * (1 - 2.0 ** (1 - n_qubits)))
 
 

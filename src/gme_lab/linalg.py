@@ -22,6 +22,16 @@ TAU_PSD = 1e-10     # most negative eigenvalue tolerated, relative to trace
 TAU_EIG = 1e-10     # relative accuracy contract for Hermitian eigenvalues
 
 
+def _check_hermitian(m: np.ndarray,
+                     message: str = "matrix is not Hermitian within tolerance") -> float:
+    """Raise ``ValueError(message)`` unless ``m`` is Hermitian within TAU_HERM
+    times its largest entry (at least 1); return that scale."""
+    scale = max(1.0, float(np.abs(m).max()))
+    if float(np.abs(m - m.conj().T).max()) > TAU_HERM * scale:
+        raise ValueError(message)
+    return scale
+
+
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """Dense Hermitian operator on an ordered tensor product of subsystems.
@@ -48,9 +58,7 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {mat.shape} does not match dims {self.dims}")
         if any(dim < 2 for dim in self.dims):
             raise ValueError("every subsystem dimension must be at least 2")
-        scale = max(1.0, float(np.abs(mat).max()))
-        if float(np.abs(mat - mat.conj().T).max()) > TAU_HERM * scale:
-            raise ValueError("matrix is not Hermitian within tolerance")
+        _check_hermitian(mat)
         if self.normalized and abs(self.trace - 1.0) > TAU_TRACE:
             raise ValueError(f"trace {self.trace} is not 1 within tolerance")
         if self.state:
@@ -150,9 +158,7 @@ def permute_subsystems(dm: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
 def min_eigenvalue_hermitian(m: np.ndarray) -> float:
     """Smallest eigenvalue of a Hermitian matrix."""
     m = np.asarray(m, dtype=complex)
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.conj().T).max()) > TAU_HERM * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    _check_hermitian(m)
     return float(np.linalg.eigvalsh(m)[0])
 
 

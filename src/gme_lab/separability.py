@@ -25,7 +25,7 @@ One entry of the tabulated embedding data is internally inconsistent and is
 repaired here; the repair is determined empirically by the identity oracle
 (``search_gamma1_correction``) and recorded in every verification report.
 The reading of the duplication isometries behind Sigma is likewise pinned
-down by the oracle; see ``_sigma_isometry``.
+down by the oracle; see ``_sigma_rows``.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gme import partition_separability_threshold
-from .linalg import DensityMatrix, permute_subsystems, tensor
+from .linalg import TAU_TRACE, DensityMatrix, permute_subsystems, tensor
 from .states import Partition, isotropic_ghz, xform_pt_spectrum, xform_to_dense
 
 TAU_DECOMP = 1e-10  # absolute tolerance on 64x64 decomposition entries
@@ -138,19 +138,20 @@ def gamma_base() -> DensityMatrix:
     return DensityMatrix(mat, (2, 2))
 
 
+def _place(block: np.ndarray, idx) -> np.ndarray:
+    """64x64 matrix holding ``block`` on the rows and columns ``idx``."""
+    out = np.zeros((64, 64), dtype=complex)
+    out[np.ix_(idx, idx)] = block
+    return out
+
+
 def _embed_raw(labels: tuple[int, int, int, int]) -> np.ndarray:
     """Image of gamma_base under |00>,|01>,|10>,|11> -> |m1>,|m2>,|m3>,|m4>.
 
     No rectangle validation: used for data-as-given residual checks and for
     the repair search.
     """
-    g = gamma_base().mat
-    out = np.zeros((64, 64), dtype=complex)
-    idx = [m - 1 for m in labels]
-    for r in range(4):
-        for c in range(4):
-            out[idx[r], idx[c]] = g[r, c]
-    return out
+    return _place(gamma_base().mat, [m - 1 for m in labels])
 
 
 def embed_gamma(spec: EmbeddingSpec) -> DensityMatrix:
@@ -186,22 +187,27 @@ GAMMA2_TUPLES: tuple[tuple[int, int, int, int], ...] = (
 )
 
 
-def _mixture_of_embeddings(tuples, validate: bool):
-    if validate:
-        mats = [embed_gamma(EmbeddingSpec(*t)).mat for t in tuples]
-    else:
-        mats = [_embed_raw(t) for t in tuples]
-    return sum(mats) / len(mats)
+def _mixture_of_embeddings(tuples) -> np.ndarray:
+    return sum(_embed_raw(t) for t in tuples) / len(tuples)
 
 
-def gamma_big_1(validate: bool = True) -> DensityMatrix:
+def _checked_mixture(tuples) -> DensityMatrix:
+    """Mixture of embeddings whose every label tuple forms a rectangle."""
+    for t in tuples:
+        EmbeddingSpec(*t)
+    return DensityMatrix(_mixture_of_embeddings(tuples), (2,) * 6)
+
+
+@lru_cache(maxsize=1)
+def gamma_big_1() -> DensityMatrix:
     """Equal mixture of the 24 Gamma1 embeddings (repaired label list)."""
-    return DensityMatrix(_mixture_of_embeddings(GAMMA1_TUPLES, validate), (2,) * 6)
+    return _checked_mixture(GAMMA1_TUPLES)
 
 
-def gamma_big_2(validate: bool = True) -> DensityMatrix:
+@lru_cache(maxsize=1)
+def gamma_big_2() -> DensityMatrix:
     """Equal mixture of the 12 Gamma2 embeddings."""
-    return DensityMatrix(_mixture_of_embeddings(GAMMA2_TUPLES, validate), (2,) * 6)
+    return _checked_mixture(GAMMA2_TUPLES)
 
 
 # Four-qubit separable state sigma: equal mixture of sixteen product states.
@@ -229,9 +235,8 @@ def sigma_base() -> DensityMatrix:
     return DensityMatrix(sum(mats) / 16.0, (2, 2, 2, 2))
 
 
-@lru_cache(maxsize=3)
-def _sigma_isometry(k: int) -> np.ndarray:
-    """64x16 isometry duplicating sigma's qubits along each copy.
+def _sigma_rows(k: int) -> list[int]:
+    """Six-qubit basis index of each of sigma's 16 basis states, duplicated.
 
     sigma's qubits (q1, q2, q3, q4) land as: q1 at copy-A position k, q2 at
     copy-B position k, q3 on both remaining copy-A positions, q4 on both
@@ -243,17 +248,12 @@ def _sigma_isometry(k: int) -> np.ndarray:
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
-    V = np.zeros((64, 16), dtype=complex)
-    for a1, b1, a2, b2, a3, b3 in itertools.product(range(2), repeat=6):
-        a = (a1, a2, a3)
-        b = (b1, b2, b3)
-        others = [i for i in range(3) if i != k - 1]
-        if a[others[0]] != a[others[1]] or b[others[0]] != b[others[1]]:
-            continue
-        six = ((((a1 * 2 + b1) * 2 + a2) * 2 + b2) * 2 + a3) * 2 + b3
-        four = ((a[k - 1] * 2 + b[k - 1]) * 2 + a[others[0]]) * 2 + b[others[0]]
-        V[six, four] = 1.0
-    return V
+    rows = []
+    for q1, q2, q3, q4 in itertools.product(range(2), repeat=4):
+        a, b = [q3] * 3, [q4] * 3
+        a[k - 1], b[k - 1] = q1, q2
+        rows.append(((((a[0] * 2 + b[0]) * 2 + a[1]) * 2 + b[1]) * 2 + a[2]) * 2 + b[2])
+    return rows
 
 
 def sigma_embedded_term(k: int) -> tuple[DensityMatrix, tuple[frozenset[int], frozenset[int]]]:
@@ -263,8 +263,7 @@ def sigma_embedded_term(k: int) -> tuple[DensityMatrix, tuple[frozenset[int], fr
     qubit in each copy at position k plus one duplicated pair per copy, so
     the image is separable across the cut isolating position k's qubit pair.
     """
-    V = _sigma_isometry(k)
-    mat = V @ sigma_base().mat @ V.conj().T
+    mat = _place(sigma_base().mat, _sigma_rows(k))
     cut = {1: CUT_A1B1, 2: CUT_A2B2, 3: CUT_A3B3}[k]
     return DensityMatrix(mat, (2,) * 6), cut
 
@@ -310,15 +309,13 @@ def rho_diag_closed_form(p: float) -> DensityMatrix:
     64 (1-2p)^2, a normalized diagonal state wherever all classes are
     nonnegative.  At p = 1/2 the prefactor vanishes; the limit of the
     weighted product is returned instead: the unnormalized numerator matrix
-    (entries poly(1/2)/64, trace 0), flagged unnormalized.
+    (entries poly(1/2)/64, trace 0).  ``normalized`` follows the computed
+    trace: near p = 1/2 the classes cancel and the trace drifts from 1.
     """
-    nums = _rho_diag_numerators(p)
-    if p == 0.5:
-        return DensityMatrix(np.diag(nums / 64.0).astype(complex), (2,) * 6,
-                             normalized=False, state=False)
-    d = nums / (64.0 * (1 - 2 * p) ** 2)
-    return DensityMatrix(np.diag(d).astype(complex), (2,) * 6,
-                         normalized=True, state=False)
+    scale = 64.0 if p == 0.5 else 64.0 * (1 - 2 * p) ** 2
+    mat = np.diag(_rho_diag_numerators(p) / scale).astype(complex)
+    normalized = abs(float(np.trace(mat).real) - 1.0) <= TAU_TRACE
+    return DensityMatrix(mat, (2,) * 6, normalized=normalized, state=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -358,6 +355,15 @@ def two_copy_target(p: float) -> DensityMatrix:
     return permute_subsystems(tensor(one, one), (0, 3, 1, 4, 2, 5))
 
 
+def _identity_residual(p: float, diag_term: np.ndarray, g1: np.ndarray,
+                       target: np.ndarray) -> float:
+    """Max-norm residual of the decomposition identity at p, given the
+    weighted diagonal remainder and the Gamma1 mixture."""
+    total = (diag_term + p * (3 - 7 * p) * g1 + p * (1 - p) * gamma_big_2().mat
+             + 4 * p * p * sigma_big().mat)
+    return float(np.abs(total - target).max())
+
+
 def two_copy_decomposition(p: float) -> BisepDecomposition:
     """Evaluate the decomposition at p and verify it against the target.
 
@@ -367,19 +373,16 @@ def two_copy_decomposition(p: float) -> BisepDecomposition:
     two-copy state is reported; the identity holds for every admissible p.
     """
     target = two_copy_target(p)
-    if p == 0.5:
-        # The (1-2p)^2 prefactor vanishes; fold it into the component.
-        w_diag, diag = 1.0, rho_diag_closed_form(p)
-    else:
-        w_diag, diag = (1 - 2 * p) ** 2, rho_diag_closed_form(p)
+    diag = rho_diag_closed_form(p)
+    # At p = 1/2 the (1-2p)^2 prefactor vanishes and is folded into ``diag``.
+    w_diag = 1.0 if p == 0.5 else (1 - 2 * p) ** 2
     components = (
         BisepComponent("rho_diag", w_diag, diag, "diagonal"),
         BisepComponent("gamma_1", p * (3 - 7 * p), gamma_big_1(), "biseparable"),
         BisepComponent("gamma_2", p * (1 - p), gamma_big_2(), "biseparable"),
         BisepComponent("sigma", 4 * p * p, sigma_big(), "biseparable"),
     )
-    total = sum(c.weight * c.state.mat for c in components)
-    residual = float(np.abs(total - target.mat).max())
+    residual = _identity_residual(p, w_diag * diag.mat, gamma_big_1().mat, target.mat)
     diag_min = float(np.diag(diag.mat).real.min())
     valid = all(c.weight >= -TAU_DECOMP for c in components) and diag_min >= -TAU_DECOMP
     return BisepDecomposition(p, components, target, residual, diag_min,
@@ -392,13 +395,9 @@ def two_copy_residual(p: float, gamma1_tuples=GAMMA1_TUPLES) -> float:
     Labels are taken as data with no rectangle validation, so the verbatim
     tabulated list can be checked as-is.
     """
-    target = two_copy_target(p).mat
-    g1 = _mixture_of_embeddings(gamma1_tuples, validate=False)
-    total = (np.diag(_rho_diag_numerators(p) / 64.0)
-             + p * (3 - 7 * p) * g1
-             + p * (1 - p) * gamma_big_2().mat
-             + 4 * p * p * sigma_big().mat)
-    return float(np.abs(total - target).max())
+    return _identity_residual(p, np.diag(_rho_diag_numerators(p) / 64.0),
+                              _mixture_of_embeddings(gamma1_tuples),
+                              two_copy_target(p).mat)
 
 
 def search_gamma1_correction(p_check: float = 0.1,
@@ -410,23 +409,17 @@ def search_gamma1_correction(p_check: float = 0.1,
     those driving the identity residual below ``tol``.  Exactly one survives.
     """
     found = []
-    seen = set()
-    for pos in range(4):
-        for value in range(1, 65):
-            cand = list(GAMMA1_SUSPECT_TUPLE)
-            cand[pos] = value
-            cand_t = tuple(cand)
-            if cand_t in seen:
-                continue
-            seen.add(cand_t)
-            try:
-                EmbeddingSpec(*cand_t)
-            except RectangleViolationError:
-                continue
-            tuples = tuple(cand_t if t == GAMMA1_SUSPECT_TUPLE else t
-                           for t in GAMMA1_TUPLES_PRINTED)
-            if two_copy_residual(p_check, tuples) <= tol:
-                found.append(cand_t)
+    for pos, value in itertools.product(range(4), range(1, 65)):
+        # Only the suspect tuple itself repeats, and it is no rectangle.
+        cand = GAMMA1_SUSPECT_TUPLE[:pos] + (value,) + GAMMA1_SUSPECT_TUPLE[pos + 1:]
+        try:
+            EmbeddingSpec(*cand)
+        except RectangleViolationError:
+            continue
+        tuples = tuple(cand if t == GAMMA1_SUSPECT_TUPLE else t
+                       for t in GAMMA1_TUPLES_PRINTED)
+        if two_copy_residual(p_check, tuples) <= tol:
+            found.append(cand)
     return found
 
 

@@ -24,6 +24,7 @@ from .linalg import (
     DensityMatrix,
     TAU_HERM,
     TAU_TRACE,
+    _check_hermitian,
     density_matrix_from_json,
     density_matrix_to_json,
     partial_trace,
@@ -296,9 +297,7 @@ def product_form_project(s: ProductFormState, subsystem: int,
     renormalized, and the pre-normalization total probability is returned.
     """
     proj = np.asarray(projector, dtype=complex)
-    scale = max(1.0, float(np.abs(proj).max()))
-    if float(np.abs(proj - proj.conj().T).max()) > TAU_HERM * scale:
-        raise ValueError("projector must be Hermitian")
+    scale = _check_hermitian(proj, "projector must be Hermitian")
     if float(np.abs(proj @ proj - proj).max()) > TAU_HERM * scale:
         raise ValueError("projector must be idempotent")
     if subsystem < 0 or subsystem >= len(s.global_dims):

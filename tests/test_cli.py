@@ -79,6 +79,14 @@ def test_concurrence_single_point(capsys):
     assert np.isclose(float(rows[0][1]), 0.125)
 
 
+@pytest.mark.parametrize("n", ["1", "0", "-3"])
+def test_concurrence_rejects_fewer_than_two_qubits(capsys, n):
+    code, out, err = run(capsys, "concurrence", "--n", n)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ")
+
+
 def test_bad_grid_rejected(capsys):
     code, _, err = run(capsys, "concurrence", "--p-start", "0.6",
                        "--p-stop", "0.4")
@@ -103,6 +111,15 @@ def test_verify_decomposition_invalid_point(capsys):
                        "--p-start", "0.5", "--p-stop", "0.5", "--p-steps", "1")
     assert code == EXIT_OK  # identity holds, so no numerical violation
     assert json.loads(out)[0]["valid"] is False
+
+
+def test_verify_decomposition_whole_range_through_half(capsys):
+    code, out, err = run(capsys, "verify-decomposition", "--format", "json",
+                         "--p-start", "-0.142857", "--p-stop", "1", "--p-steps", "200")
+    assert (code, err) == (EXIT_OK, "")
+    reports = json.loads(out)
+    assert len(reports) == 200
+    assert max(r["residual_max"] for r in reports) <= 1e-10
 
 
 def test_verify_decomposition_rejects_other_n(capsys):
@@ -276,6 +293,20 @@ def test_locc_demo_dump_state_equals_json_dump(tmp_path, capsys):
     ("witness-scan", "--x", "inf", "--y", "0.3", "--z", "0.3", "--p-steps", "1"),
     ("witness-scan", "--mode", "wedge", "--x", "t", "--y", "inf"),
     ("witness-scan", "--mode", "wedge", "--x", "nan", "--y", "t"),
+    # a NaN tolerance would pass every ``> tol`` contract check
+    ("verify-decomposition", "--tol", "nan", "--p-start", "0.1", "--p-stop", "0.2",
+     "--p-steps", "3"),
+    ("witness-scan", "--tol", "nan"),
+    ("locc-demo", "--tol", "nan"),
+    # under a negative tolerance every run would exit 3
+    ("verify-decomposition", "--tol=-1e-3", "--p-steps", "3"),
+    ("witness-scan", "--tol=-1"),
+    ("locc-demo", "--tol=-1e-12"),
+    ("concurrence", "--p-start", "nan"),
+    ("concurrence", "--p-stop", "inf"),
+    ("concurrence", "--p-start=-inf"),
+    ("verify-decomposition", "--p-stop", "nan"),
+    ("ppt-scan", "--p-start", "nan", "--p-stop", "nan"),
 ], ids=" ".join)
 def test_non_finite_parameters_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)

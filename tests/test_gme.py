@@ -55,6 +55,12 @@ def test_concurrence_closed_form_values():
     assert np.isclose(gm_concurrence_isotropic(4, 0.5), 0.0625)
 
 
+@pytest.mark.parametrize("n", [1, 0, -3])
+def test_concurrence_closed_form_needs_two_qubits(n):
+    with pytest.raises(ValueError):
+        gm_concurrence_isotropic(n, 0.5)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 7, 10])
 def test_concurrence_xform_matches_closed_form(n):
     lo, hi = isotropic_p_range(n)

@@ -1,5 +1,7 @@
 """Tests for the two-copy biseparable decomposition and PPT analysis."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -129,6 +131,54 @@ def test_separability_audit_gamma_embeddings():
         assert min_eigenvalue_hermitian(pt.mat) >= -1e-12, t
 
 
+@pytest.mark.parametrize("build,tuples", [(gamma_big_1, GAMMA1_TUPLES),
+                                          (gamma_big_2, GAMMA2_TUPLES)])
+def test_gamma_mixture_equals_validated_oracle_exactly(build, tuples):
+    oracle = sum(embed_gamma(EmbeddingSpec(*t)).mat for t in tuples) / len(tuples)
+    assert build().mat.tobytes() == oracle.tobytes()  # values and sign bits
+
+
+def count_constructions(monkeypatch):
+    """Count eigvalsh calls and EmbeddingSpec constructions from here on."""
+    counts = {"eigvalsh": 0, "EmbeddingSpec": 0}
+    eigvalsh = np.linalg.eigvalsh
+    spec_post_init = EmbeddingSpec.__post_init__
+
+    def counting_eigvalsh(*args, **kwargs):
+        counts["eigvalsh"] += 1
+        return eigvalsh(*args, **kwargs)
+
+    def counting_post_init(self):
+        counts["EmbeddingSpec"] += 1
+        spec_post_init(self)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
+    monkeypatch.setattr(EmbeddingSpec, "__post_init__", counting_post_init)
+    return counts
+
+
+def test_gamma_labels_checked_once_on_first_build(monkeypatch):
+    gamma_big_1.cache_clear()
+    gamma_big_2.cache_clear()
+    counts = count_constructions(monkeypatch)
+    g1, g2 = gamma_big_1(), gamma_big_2()
+    # each label tuple passes EmbeddingSpec once; each mixture one PSD check
+    once = {"eigvalsh": 2, "EmbeddingSpec": len(GAMMA1_TUPLES + GAMMA2_TUPLES)}
+    assert counts == once
+    assert gamma_big_1() is g1 and gamma_big_2() is g2
+    assert counts == once
+
+
+def test_decomposition_after_warm_up_builds_no_constant_operator(monkeypatch):
+    two_copy_decomposition(0.1)
+    counts = count_constructions(monkeypatch)
+    dec = two_copy_decomposition(0.2)
+    # the only PSD checks left are the three dense builds of the target
+    assert counts["eigvalsh"] <= 3
+    assert counts["EmbeddingSpec"] == 0
+    assert dec.residual_max <= 1e-10
+
+
 # ------------------------------------------------------------------ sigma
 
 def test_sigma_base_diagonal_uniform():
@@ -158,6 +208,35 @@ def test_sigma_term_support_pattern(k, same_a, same_b):
         bits = [(idx >> (5 - pos)) & 1 for pos in range(6)]
         assert bits[same_a[0]] == bits[same_a[1]]
         assert bits[same_b[0]] == bits[same_b[1]]
+
+
+def sigma_isometry(k):
+    """64x16 0/1 isometry V with V sigma V^dagger the k-th duplicated image:
+    q1 at copy-A position k, q2 at copy-B position k, q3 on both remaining
+    copy-A positions, q4 on both remaining copy-B positions."""
+    V = np.zeros((64, 16), dtype=complex)
+    others = [i for i in range(3) if i != k - 1]
+    for a1, b1, a2, b2, a3, b3 in itertools.product(range(2), repeat=6):
+        a, b = (a1, a2, a3), (b1, b2, b3)
+        if a[others[0]] != a[others[1]] or b[others[0]] != b[others[1]]:
+            continue
+        six = ((((a1 * 2 + b1) * 2 + a2) * 2 + b2) * 2 + a3) * 2 + b3
+        four = ((a[k - 1] * 2 + b[k - 1]) * 2 + a[others[0]]) * 2 + b[others[0]]
+        V[six, four] = 1.0
+    return V
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_sigma_term_equals_dense_isometry_oracle_exactly(k):
+    V = sigma_isometry(k)
+    oracle = V @ sigma_base().mat @ V.conj().T
+    assert sigma_embedded_term(k)[0].mat.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("k", [0, 4])
+def test_sigma_term_rejects_other_positions(k):
+    with pytest.raises(ValueError):
+        sigma_embedded_term(k)
 
 
 def test_sigma_terms_separable_across_declared_cuts():
@@ -237,6 +316,17 @@ def test_decomposition_invalid_beyond_boundary():
 
 def test_decomposition_identity_at_half():
     dec = two_copy_decomposition(0.5)
+    assert dec.residual_max <= 1e-10
+    assert not dec.valid
+
+
+@pytest.mark.parametrize("p", [
+    0.499, 0.4999, 0.4999999, 0.5 - 1e-12, float(np.nextafter(0.5, 0)),
+    float(np.nextafter(0.5, 1)), 0.5000001, 0.50001])
+def test_decomposition_identity_near_half(p):
+    # the diagonal classes cancel in the trace of rho_diag near p = 1/2; the
+    # remainder is then flagged unnormalized rather than rejected
+    dec = two_copy_decomposition(p)
     assert dec.residual_max <= 1e-10
     assert not dec.valid
 
