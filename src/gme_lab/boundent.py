@@ -71,15 +71,24 @@ __all__ = [
 
 
 class NonPositiveParameterError(ValueError):
-    """Raised when a pair-state parameter is not strictly positive and finite."""
+    """Raised when a pair-state parameter is not strictly positive and finite,
+    or overflows the pair normalization."""
 
 
 def qutrit_ppt_normalization(p: float) -> float:
-    """Normalization N_p = 3 (1 + p + 1/p) of the PPT pair family."""
+    """Normalization N_p = 3 (1 + p + 1/p) of the PPT pair family.
+
+    Raises for p that is not positive and finite, and for p so small or so
+    large that 1/p or N_p overflows (a subnormal p, or p near the float limit).
+    """
     if not 0 < p < math.inf:
         raise NonPositiveParameterError(
             f"parameter must be positive and finite, got {p}")
-    return 3.0 * (1.0 + p + 1.0 / p)
+    norm = 3.0 * (1.0 + p + 1.0 / p)
+    if not math.isfinite(norm):
+        raise NonPositiveParameterError(
+            f"parameter {p} makes 1/p or the normalization overflow")
+    return norm
 
 
 def qutrit_ppt_state(p: float) -> DensityMatrix:

@@ -19,12 +19,14 @@ bound 1/(1 + 2^(N-1)).  For N = 2 all of these coincide at 1/3.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DensityMatrix, TAU_TRACE, hadamard
-from .states import XFormState
+from .states import XFormState, _check_isotropic_p
 
 __all__ = [
     "ZeroTraceError",
@@ -84,9 +86,14 @@ def gm_concurrence_xform(x: XFormState) -> float:
 
 
 def gm_concurrence_isotropic(n_qubits: int, p: float) -> float:
-    """Closed form max(0, |p| - (1-p)(1 - 2^(1-N))) for the isotropic family."""
+    """Closed form max(0, |p| - (1-p)(1 - 2^(1-N))) for the isotropic family.
+
+    p must lie in the admissible range, up to the slack
+    :func:`isotropic_ghz` allows; NaN is rejected.
+    """
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
+    _check_isotropic_p(n_qubits, p)
     return max(0.0, abs(p) - (1 - p) * (1 - 2.0 ** (1 - n_qubits)))
 
 
@@ -105,8 +112,17 @@ def k_copy_threshold(n_qubits: int, k: int) -> ThresholdReport:
     if k < 1:
         raise ValueError("need at least 1 copy")
     half = 2 ** (n_qubits - 1)
-    root = (half - 1) ** (1.0 / k)
-    value = root / (half + root)
+    if k == 1:
+        # Exact integer division: the single-copy value for every N.
+        value = (half - 1) / (2 * half - 1)
+    elif n_qubits - 1 < sys.float_info.max_exp:
+        root = (half - 1) ** (1.0 / k)
+        value = root / (half + root)
+    else:
+        # half - 1 overflows a float; value = t / (1 + t) with t = root / half
+        # taken in log space (t underflows to 0 long before it could overflow).
+        t = math.exp(math.log(half - 1) / k - (n_qubits - 1) * math.log(2))
+        value = t / (1 + t)
     note = None
     if k == 1:
         same = value == single_copy_threshold(n_qubits).p_threshold
@@ -120,7 +136,7 @@ def partition_separability_threshold(n_qubits: int) -> ThresholdReport:
     separable with respect to every bipartition (and hence never activatable)."""
     if n_qubits < 2:
         raise ValueError("need at least 2 qubits")
-    value = 1.0 / (1 + 2 ** (n_qubits - 1))
+    value = 1 / (1 + 2 ** (n_qubits - 1))   # exact integer division, any N
     return ThresholdReport(n_qubits, None, value, "partition_separability")
 
 

@@ -174,22 +174,31 @@ def density_matrix_to_json(dm: DensityMatrix) -> dict:
 def write_density_matrix_json(dm: DensityMatrix, fh: TextIO) -> None:
     """Write the bytes of ``json.dump(density_matrix_to_json(dm), fh)``.
 
-    The matrix is streamed one row at a time through ``json.dumps``, whose C
-    encoder is far faster than the pure-Python one ``json.dump`` uses, and
-    no list of the whole matrix is ever held.  Rows that are exactly zero
-    (no -0.0) share one precomputed string.
+    Only the entries whose bits are not those of +0.0 are formatted (so -0.0,
+    NaN and inf are), all of a part in one ``json.dumps`` call, whose C
+    encoder is far faster than the pure-Python one ``json.dump`` uses.  Each
+    row is then written with its gaps filled by ``"0.0, "``, and no list of
+    the whole matrix is ever held.
     """
-    zero_row = json.dumps([0.0] * dm.dim)
+    n = dm.dim
     fh.write('{"dims": ' + json.dumps(list(dm.dims)))
     for key, part in (("re", dm.mat.real), ("im", dm.mat.imag)):
+        rows, cols = np.nonzero(part.view(np.uint64))
+        # Float reprs contain no ", ", so splitting recovers one text per entry.
+        texts = json.dumps(part[rows, cols].tolist())[1:-1].split(", ")
+        ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
+        cols = cols.tolist()
         fh.write(f', "{key}": [')
-        for i, row in enumerate(part):
-            if i:
-                fh.write(", ")
-            if row.any() or np.signbit(row).any():
-                fh.write(json.dumps(row.tolist()))
-            else:
-                fh.write(zero_row)
+        start = 0
+        for i, end in enumerate(ends):
+            pieces = []
+            prev = 0
+            for j in range(start, end):
+                pieces.append("0.0, " * (cols[j] - prev) + texts[j] + ", ")
+                prev = cols[j] + 1
+            pieces.append("0.0, " * (n - prev))
+            fh.write((", [" if i else "[") + "".join(pieces)[:-2] + "]")
+            start = end
         fh.write("]")
     fh.write("}")
 

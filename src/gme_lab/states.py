@@ -109,7 +109,17 @@ def ghz_vector(n_qubits: int) -> np.ndarray:
 
 def isotropic_p_range(n_qubits: int) -> tuple[float, float]:
     """Admissible mixing-parameter range of the isotropic GHZ family."""
-    return (-1.0 / (2 ** n_qubits - 1), 1.0)
+    # Integer true division is correctly rounded for any N; a float divisor
+    # would overflow above N = 1024.
+    return (-1 / (2 ** n_qubits - 1), 1.0)
+
+
+def _check_isotropic_p(n_qubits: int, p: float) -> None:
+    """Raise ``ValueError`` unless p is in the admissible range up to TAU_X
+    (so grid endpoints a rounding step outside pass); NaN is rejected."""
+    lo, hi = isotropic_p_range(n_qubits)
+    if not lo - TAU_X <= p <= hi + TAU_X:
+        raise ValueError(f"p={p} outside [{lo}, {hi}] for N={n_qubits}")
 
 
 def isotropic_ghz(n_qubits: int, p: float) -> XFormState:
@@ -119,9 +129,7 @@ def isotropic_ghz(n_qubits: int, p: float) -> XFormState:
     z_k = delta_{k0} p/2.  The state is a valid density operator for
     p in [-1/(2^N - 1), 1].
     """
-    lo, hi = isotropic_p_range(n_qubits)
-    if not lo - TAU_X <= p <= hi + TAU_X:
-        raise ValueError(f"p={p} outside [{lo}, {hi}] for N={n_qubits}")
+    _check_isotropic_p(n_qubits, p)
     n = 2 ** (n_qubits - 1)
     diag = np.full(n, (1 - p) / 2 ** n_qubits)
     a = diag.copy()
@@ -356,8 +364,12 @@ def product_form_partial_trace(s: ProductFormState,
     return ProductFormState(tuple(new_terms), gd, normalized=s.normalized)
 
 
-def product_form_to_dense(s: ProductFormState, max_dim: int = 4096) -> DensityMatrix:
-    """Dense expansion sum_t w_t (f_1 x f_2 x ...); guarded against blowup."""
+def _product_form_array(s: ProductFormState, max_dim: int = 4096) -> np.ndarray:
+    """The array sum_t w_t (f_1 x f_2 x ...), unchecked; guarded against blowup.
+
+    Every factor already passed ``DensityMatrix``, so a caller that only
+    compares the expansion against another needs no second validation.
+    """
     d = int(np.prod(s.global_dims, dtype=np.int64))
     if d > max_dim:
         raise ValueError(f"dense dimension {d} exceeds limit {max_dim}")
@@ -367,7 +379,13 @@ def product_form_to_dense(s: ProductFormState, max_dim: int = 4096) -> DensityMa
         for f in term.factors:
             block = np.kron(block, f.mat)
         out += block
-    return DensityMatrix(out, s.global_dims, normalized=s.normalized, state=False)
+    return out
+
+
+def product_form_to_dense(s: ProductFormState, max_dim: int = 4096) -> DensityMatrix:
+    """Dense expansion sum_t w_t (f_1 x f_2 x ...); guarded against blowup."""
+    return DensityMatrix(_product_form_array(s, max_dim), s.global_dims,
+                         normalized=s.normalized, state=False)
 
 
 def product_form_submatrix(s: ProductFormState, rows) -> np.ndarray:

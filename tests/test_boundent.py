@@ -68,6 +68,21 @@ def test_pair_rejects_nonpositive_parameter():
             qutrit_ppt_state(p)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [5e-324, 1e-310, 1e308, 1.7e308])
+def test_pair_rejects_parameter_whose_normalization_overflows(p):
+    # 1/p overflows for a subnormal p; 3 (1 + p) overflows near the float limit.
+    with pytest.raises(NonPositiveParameterError):
+        qutrit_ppt_normalization(p)
+    with pytest.raises(NonPositiveParameterError):
+        witness_trace_triangle(1.0, p, 0.3)
+
+
+def test_pair_accepts_extreme_finite_parameters():
+    for p in (1e-300, 1e300):
+        assert math.isfinite(qutrit_ppt_normalization(p))
+
+
 # ---------------------------------------------------------------- witness
 
 def test_witness_entries():

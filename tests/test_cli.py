@@ -1,8 +1,11 @@
 """Tests for the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
+import math
+import os
 
 import numpy as np
 import pytest
@@ -58,6 +61,20 @@ def test_thresholds_n_range(capsys):
     assert [r[0] for r in rows] == ["3", "3", "3", "4", "4", "4", "5", "5", "5"]
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, n_rows", [
+    (("--n", "1100"), 2),
+    (("--n", "1029", "--kmax", "30", "--n-max", "1032"), 4 * 31),
+])
+def test_thresholds_beyond_float_range(capsys, argv, n_rows):
+    code, out, err = run(capsys, "thresholds", *argv)
+    assert code == EXIT_OK and err == ""
+    _, rows = parse_csv(out)
+    assert len(rows) == n_rows
+    assert all(np.isfinite(float(r[2])) for r in rows)
+    assert all(float(r[2]) == 0.5 for r in rows if r[1] == "1")
+
+
 # -------------------------------------------------------------- concurrence
 
 def test_concurrence_shape(capsys):
@@ -85,6 +102,20 @@ def test_concurrence_rejects_fewer_than_two_qubits(capsys, n):
     assert code == EXIT_CONFIG
     assert out == ""
     assert err.startswith("error: ")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [
+    ("--p-start=-1e308", "--p-stop=1e308", "--p-steps", "3"),   # the grid holds inf, nan
+    ("--n", "2302", "--p-start=1e-310", "--p-stop=1e308", "--p-steps", "5"),
+    ("--p-start", "0", "--p-stop", "1.5", "--p-steps", "3"),
+    ("--p-start=-0.2", "--p-stop", "0", "--p-steps", "2"),
+], ids=" ".join)
+def test_concurrence_rejects_p_outside_range(capsys, argv):
+    code, out, err = run(capsys, "concurrence", *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_bad_grid_rejected(capsys):
@@ -281,6 +312,86 @@ def test_locc_demo_dump_state_equals_json_dump(tmp_path, capsys):
     assert out_path.read_text() == oracle.getvalue()
 
 
+def test_locc_demo_expands_the_state_once(capsys, monkeypatch):
+    """One dense expansion and one 729-dimensional ``DensityMatrix`` per run,
+    shared by the residual and the dump."""
+    expansions, checked = [], []
+    to_dense = cli.product_form_to_dense
+    post_init = linalg.DensityMatrix.__post_init__
+
+    def counting_to_dense(s, *args, **kwargs):
+        expansions.append(s.global_dims)
+        return to_dense(s, *args, **kwargs)
+
+    def counting_post_init(self):
+        post_init(self)
+        checked.append(self.dim)
+
+    monkeypatch.setattr(cli, "product_form_to_dense", counting_to_dense)
+    monkeypatch.setattr(linalg.DensityMatrix, "__post_init__", counting_post_init)
+    for argv in ((), ("--x", "0.7", "--y", "1.3", "--z", "0.4")):
+        expansions.clear()
+        checked.clear()
+        code, _, _ = run(capsys, "locc-demo", "--dump-state", os.devnull, *argv)
+        assert code == EXIT_OK
+        assert expansions == [(3,) * 6]
+        assert checked.count(729) == 1 and max(checked) == 729
+
+
+def test_locc_residual_oracle_is_the_validated_dense_state(capsys, monkeypatch):
+    """The residual's oracle skips ``DensityMatrix``; its bytes must still be
+    those of the validated dense expansion of ``triangle_state``."""
+    oracles = []
+
+    def recording(s, *args, **kwargs):
+        out = states._product_form_array(s, *args, **kwargs)
+        oracles.append(out.copy())
+        return out
+
+    monkeypatch.setattr(cli, "_product_form_array", recording)
+    params = [(1.0, 0.3, 0.3), (0.7, 1.3, 0.4), (2.0, 0.2, 1.1), (0.25, 0.5, 1.9)]
+    for x, y, z in params:
+        code, _, _ = run(capsys, "locc-demo", "--x", repr(x), "--y", repr(y),
+                         "--z", repr(z))
+        assert code == EXIT_OK
+        want = states.product_form_to_dense(boundent.triangle_state(x, y, z)).mat
+        assert oracles[-1].tobytes() == want.tobytes()
+    assert len(oracles) == len(params)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv, message", [
+    # closed form inf/inf = nan against a finite dense trace
+    (("witness-scan", "--x", "1e200", "--y", "1e200", "--z", "1", "--p-steps", "1"),
+     "closed-form vs dense mismatch nan"),
+    # the nan rows come after a finite one, which the built-in max would keep
+    (("witness-scan", "--x", "1e200", "--z", "1", "--p-start", "1", "--p-stop", "1e200",
+      "--p-steps", "3"), "closed-form vs dense mismatch nan"),
+    (("locc-demo", "--x", "1e200", "--y", "1e200", "--z", "1e200"),
+     "witness closed-form vs dense mismatch nan"),
+], ids=["witness-scan-one-row", "witness-scan-nan-after-finite-row", "locc-demo"])
+def test_contract_checks_fail_on_nan(capsys, argv, message):
+    code, _, err = run(capsys, *argv)
+    assert code == EXIT_NUMERICAL
+    assert err.startswith(message)
+
+
+def test_verify_decomposition_fails_on_nan_residual(capsys, monkeypatch):
+    decompose = separability.two_copy_decomposition
+    calls = []
+
+    def nan_at_middle_point(p):
+        calls.append(p)
+        dec = decompose(p)
+        return dataclasses.replace(dec, residual_max=math.nan) if len(calls) == 2 else dec
+
+    monkeypatch.setattr(separability, "two_copy_decomposition", nan_at_middle_point)
+    code, _, err = run(capsys, "verify-decomposition", "--p-start", "0.1",
+                       "--p-stop", "0.2", "--p-steps", "3")
+    assert code == EXIT_NUMERICAL
+    assert err.startswith("decomposition residual nan exceeds")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("argv", [
     ("locc-demo", "--p1", "nan"),
@@ -307,6 +418,11 @@ def test_locc_demo_dump_state_equals_json_dump(tmp_path, capsys):
     ("concurrence", "--p-start=-inf"),
     ("verify-decomposition", "--p-stop", "nan"),
     ("ppt-scan", "--p-start", "nan", "--p-stop", "nan"),
+    # 1/p or the pair normalization overflows
+    ("witness-scan", "--x", "1e-320", "--p-steps", "1"),
+    ("witness-scan", "--mode", "wedge", "--x", "t", "--y", "5e-324"),
+    ("locc-demo", "--z", "1e-310"),
+    ("locc-demo", "--x", "1e308"),
 ], ids=" ".join)
 def test_non_finite_parameters_rejected(capsys, argv):
     code, out, err = run(capsys, *argv)

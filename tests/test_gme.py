@@ -1,5 +1,9 @@
 """Tests for GM concurrence, activation thresholds, and the Schur-product map."""
 
+import decimal
+import fractions
+import math
+
 import numpy as np
 import pytest
 
@@ -78,6 +82,25 @@ def test_concurrence_inner_max_at_first_block():
             roots = np.sqrt(x.a * x.b)
             per_block = np.abs(x.z) - (roots.sum() - roots)
             assert per_block.argmax() == 0
+
+
+@pytest.mark.parametrize("n, p", [
+    (3, float("nan")), (3, 1 + 1e-9), (3, -1 / 7 - 1e-9), (3, 1e308), (3, -1e308),
+    (2, float("inf")), (2302, 1e308), (2302, -1e-11),
+])
+def test_concurrence_closed_form_rejects_p_outside_range(n, p):
+    with pytest.raises(ValueError):
+        gm_concurrence_isotropic(n, p)
+
+
+def test_concurrence_closed_form_accepts_range_up_to_slack():
+    for n in (2, 3, 10, 24, 1100):
+        lo, hi = isotropic_p_range(n)
+        for p in (lo, hi, lo - 5e-13, hi + 5e-13, *np.linspace(lo, hi, 7)):
+            assert 0.0 <= gm_concurrence_isotropic(n, p) <= 1.0 + 1e-12
+    for n in range(2, 25):
+        for i in range(101):
+            gm_concurrence_isotropic(n, i / 100)
 
 
 # -------------------------------------------------------------- thresholds
@@ -234,3 +257,44 @@ def test_activation_between_crit_and_kmax():
 def test_activation_validates_kmax():
     with pytest.raises(ValueError):
         activation_classification(3, 0.3, 0)
+
+
+def test_thresholds_up_to_1024_qubits_equal_the_float_formula():
+    """Bit-identical to r / (2^(N-1) + r), r = (2^(N-1) - 1)^(1/k), where that
+    float formula is finite; at N = 1024, k = 1 its denominator overflowed to
+    inf and it gave 0, so k = 1 is taken from the single-copy value there."""
+    for n in range(2, 1025):
+        half = 2 ** (n - 1)
+        # The bound is now the correctly rounded 1/(1 + 2^(N-1)); the float
+        # formula rounded 1 + 2^53 first and is one ulp off at N = 54, which
+        # does not show in the 12 printed digits.
+        crit = partition_separability_threshold(n).p_threshold
+        assert crit == float(fractions.Fraction(1, 1 + half))
+        assert format(crit, ".12g") == format(1.0 / (1 + half), ".12g")
+        for k in range(1, 65):
+            rep = k_copy_threshold(n, k)
+            if (n, k) == (1024, 1):
+                want = single_copy_threshold(n).p_threshold
+            else:
+                root = (half - 1) ** (1.0 / k)
+                want = root / (half + root)
+            assert rep.p_threshold == want, (n, k)
+            if k == 1:
+                assert rep.note == "k=1 value equals the single-copy threshold"
+
+
+@pytest.mark.parametrize("n", [1025, 1029, 1032, 1050, 1100, 1500, 2302, 3000])
+def test_thresholds_beyond_1024_qubits_match_exact_oracle(n):
+    ctx = decimal.Context(prec=60)
+    half = decimal.Decimal(2) ** (n - 1)
+    for k in (1, 2, 3, 7, 30, 64):
+        root = ctx.exp(ctx.divide(ctx.ln(half - 1), k))
+        want = float(ctx.divide(root, half + root))
+        rep = k_copy_threshold(n, k)
+        assert math.isfinite(rep.p_threshold)
+        # Below the normal range only absolute accuracy is possible.
+        assert math.isclose(rep.p_threshold, want, rel_tol=1e-12, abs_tol=1e-322), (n, k)
+    assert k_copy_threshold(n, 1).note == "k=1 value equals the single-copy threshold"
+    assert single_copy_threshold(n).p_threshold == 0.5
+    crit = partition_separability_threshold(n).p_threshold
+    assert crit == float(fractions.Fraction(1, 1 + 2 ** (n - 1)))

@@ -277,3 +277,37 @@ def test_streamed_json_equals_json_dump():
         json.dump(density_matrix_to_json(dm), oracle)
         write_density_matrix_json(dm, streamed)
         assert streamed.getvalue() == oracle.getvalue()
+
+
+def test_sparse_writer_equals_json_dump_on_edge_rows():
+    """Seeded rows of every shape the gap-filling writer must get right."""
+    rng = np.random.default_rng(11)
+    specials = (-0.0, np.nan, np.inf, -np.inf)
+    for trial in range(30):
+        n = int(rng.integers(2, 12))
+        m = np.zeros((n, n), dtype=complex)
+        kind = trial % 5
+        if kind == 1:      # one nonzero per row, at a random column
+            for i in range(n):
+                m[i, rng.integers(n)] = rng.standard_normal() + 1j * rng.standard_normal()
+        elif kind == 2:    # nonzeros at the first and last column only
+            m[:, 0] = rng.standard_normal(n)
+            m[:, -1] = 1j * rng.standard_normal(n)
+        elif kind == 3:    # fully dense
+            m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        elif kind == 4:    # sparse, some rows left all zero
+            mask = rng.random((n, n)) < 0.2
+            m[mask] = rng.standard_normal(mask.sum())
+        m = m + m.conj().T     # kind 0 stays the zero matrix
+        for _ in range(int(rng.integers(0, 4))):
+            i, j = (int(v) for v in rng.integers(0, n, 2))
+            v = complex(rng.choice(specials), rng.choice(specials + (0.0,)))
+            m[i, j], m[j, i] = v, v.conjugate()
+        i, j = (int(v) for v in rng.integers(0, n, 2))
+        m[i, j], m[j, i] = complex(-0.0, -0.0), complex(-0.0, 0.0)   # -0.0 in re and im
+        with np.errstate(invalid="ignore"):   # inf - inf in the Hermiticity check
+            dm = DensityMatrix(m, (n,), normalized=False, state=False)
+        oracle, streamed = io.StringIO(), io.StringIO()
+        json.dump(density_matrix_to_json(dm), oracle)
+        write_density_matrix_json(dm, streamed)
+        assert streamed.getvalue() == oracle.getvalue(), trial
