@@ -9,7 +9,6 @@ showing activation from undistillable entanglement.
 
 from .linalg import (
     DensityMatrix,
-    TAU_EIG,
     TAU_HERM,
     TAU_PSD,
     TAU_TRACE,

@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .linalg import DensityMatrix, permute_subsystems, tensor
+from .linalg import DensityMatrix, _unchecked, permute_subsystems, tensor
 from .states import (
     ProductFormState,
     ProductTerm,
@@ -105,7 +105,9 @@ def qutrit_ppt_state(p: float) -> DensityMatrix:
         mat[3 * a + b, 3 * a + b] += p
     for a, b in ((0, 2), (1, 0), (2, 1)):
         mat[3 * a + b, 3 * a + b] += 1.0 / p
-    return DensityMatrix(mat / norm, (3, 3))
+    # qutrit_ppt_normalization checked p > 0 and N_p finite: v v^T plus a
+    # nonnegative diagonal, over its trace N_p, is a real unit-trace state.
+    return _unchecked(mat / norm, (3, 3), normalized=True, state=True)
 
 
 # Qutrit order of the dense triangle state and which party holds what.
@@ -242,8 +244,9 @@ _EMBED[1:, :] = np.eye(3)  # qutrit level l -> carrier level l+1
 def _embed_qutrit_pair(pair: DensityMatrix) -> DensityMatrix:
     """Lift a two-qutrit state onto levels 1..3 of two dim-4 carriers."""
     E = np.kron(_EMBED, _EMBED)
-    return DensityMatrix(E @ pair.mat @ E.conj().T, (FLAG_DIM, FLAG_DIM),
-                         state=pair.state, normalized=pair.normalized)
+    # pair was checked; conjugation by an isometry keeps every property it asserts.
+    return _unchecked(E @ pair.mat @ E.conj().T, (FLAG_DIM, FLAG_DIM),
+                      normalized=pair.normalized, state=pair.state)
 
 
 def _flag_dm() -> DensityMatrix:
@@ -330,8 +333,10 @@ def _restrict_carriers_to_qutrits(s: ProductFormState) -> ProductFormState:
             leak = abs(float(np.trace(reduced).real) - f.trace)
             if leak > 1e-12:
                 raise ValueError(f"carrier has {leak:.2e} weight on the flag direction")
-            factors.append(DensityMatrix(reduced, (3,) * f.n_subsystems,
-                                         normalized=f.normalized, state=f.state))
+            # f was checked and the leak check keeps its trace: a principal
+            # submatrix of a Hermitian (PSD) matrix is Hermitian (PSD).
+            factors.append(_unchecked(reduced, (3,) * f.n_subsystems,
+                                      normalized=f.normalized, state=f.state))
         new_terms.append(ProductTerm(term.weight, tuple(factors)))
     return ProductFormState(tuple(new_terms), (3,) * len(s.global_dims),
                             normalized=s.normalized)

@@ -35,8 +35,10 @@ def fmt12(x: float) -> str:
     return format(float(x), ".12g")
 
 
-def round12(x: float) -> float:
-    return float(fmt12(x))
+def round12(x: float) -> float | None:
+    """x at 12 significant digits for JSON; None (null) if x is not finite,
+    since JSON has no NaN or infinity."""
+    return float(fmt12(x)) if math.isfinite(x) else None
 
 
 @dataclass(frozen=True)
@@ -82,8 +84,14 @@ def _emit(rows: list[dict], columns: list[str], config: RunConfig) -> None:
         text = buf.getvalue()
     else:
         payload = [{c: _jsonval(row.get(c)) for c in columns} for row in rows]
-        text = json.dumps(payload, indent=2) + "\n"
+        text = _json_text(payload)
     _write(text, config)
+
+
+def _json_text(payload) -> str:
+    """The one JSON encoding; ``allow_nan=False`` makes a non-finite number
+    that missed ``round12`` an error instead of invalid JSON."""
+    return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 def _write(text: str, config: RunConfig) -> None:
@@ -178,7 +186,7 @@ def cmd_verify_decomposition(config: RunConfig) -> int:
             "valid": r["valid"],
             "gamma1_correction_applied": r["gamma1_correction_applied"],
         } for r in rows]
-        _write(json.dumps(payload, indent=2) + "\n", config)
+        _write(_json_text(payload), config)
     else:
         _emit(rows, ["p", "residual_max", "weight_rho_diag", "weight_gamma_1",
                      "weight_gamma_2", "weight_sigma", "diag_min", "valid",
@@ -253,8 +261,8 @@ def cmd_locc_demo(config: RunConfig, probs: tuple[float, float, float],
     except (ValueError, boundent.NonPositiveParameterError) as exc:
         raise ConfigError(str(exc))
     result = boundent.simulate_locc_triangle((source, source, source))
-    # The produced state is expanded and validated once, for the residual and
-    # the dump; the oracle's factors were validated when they were built.
+    # The produced state is expanded once, for the residual and the dump;
+    # both expansions' factors were validated when they were built.
     produced = product_form_to_dense(result.state)
     expected = _product_form_array(boundent.triangle_state(x, y, z))
     residual = float(abs(produced.mat - expected).max())
@@ -274,7 +282,7 @@ def cmd_locc_demo(config: RunConfig, probs: tuple[float, float, float],
             f"GME activated: witness = {fmt12(closed)} < 0" if detected
             else f"not detected: witness = {fmt12(closed)} >= 0"),
     }
-    _write(json.dumps(report, indent=2) + "\n", config)
+    _write(_json_text(report), config)
     if dump_state:
         with open(dump_state, "w") as fh:
             write_density_matrix_json(produced, fh)

@@ -9,6 +9,7 @@ exactly the ordering produced by ``numpy.kron``.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
@@ -19,15 +20,19 @@ import numpy as np
 TAU_HERM = 1e-12    # absolute deviation from Hermiticity (scaled by max entry)
 TAU_TRACE = 1e-12   # deviation of the trace from 1 for normalized operators
 TAU_PSD = 1e-10     # most negative eigenvalue tolerated, relative to trace
-TAU_EIG = 1e-10     # relative accuracy contract for Hermitian eigenvalues
 
 
 def _check_hermitian(m: np.ndarray,
                      message: str = "matrix is not Hermitian within tolerance") -> float:
-    """Raise ``ValueError(message)`` unless ``m`` is Hermitian within TAU_HERM
+    """Raise ``ValueError`` unless ``m`` is finite and Hermitian within TAU_HERM
     times its largest entry (at least 1); return that scale."""
-    scale = max(1.0, float(np.abs(m).max()))
-    if float(np.abs(m - m.conj().T).max()) > TAU_HERM * scale:
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
+    # A deviation beyond the float range reads inf and fails the check below.
+    with np.errstate(over="ignore"):
+        scale = max(1.0, float(np.abs(m).max()))
+        deviation = float(np.abs(m - m.conj().T).max())
+    if not deviation <= TAU_HERM * scale:
         raise ValueError(message)
     return scale
 
@@ -37,10 +42,20 @@ class DensityMatrix:
     """Dense Hermitian operator on an ordered tensor product of subsystems.
 
     ``normalized`` asserts unit trace and ``state`` asserts positive
-    semidefiniteness; both are checked at construction.  Unnormalized or
-    indefinite operators (witnesses, partial transposes, unnormalized
-    projections) are first class: construct them with the matching flag off.
-    Normalization is always an explicit flag, never implied.
+    semidefiniteness.  Unnormalized or indefinite operators (witnesses,
+    partial transposes, unnormalized projections) are first class: construct
+    them with the matching flag off.  Normalization is always an explicit
+    flag, never implied.
+
+    Constructing one checks the shape against ``dims``, that every entry is
+    finite, Hermiticity, and what the flags assert (the PSD check runs
+    ``eigvalsh``).  This is where outside data enters, along with
+    ``density_matrix_from_json``.  An operator with both flags off may carry
+    non-finite entries, unchecked, since no tolerance applies to them (so a
+    NaN result can still be written out).  Library results whose properties
+    follow from a check that already ran (tensor products, permutations,
+    partial traces and transposes, X-form and product-form expansions) are
+    built by ``_unchecked`` instead, which skips these checks and the copy.
     """
 
     mat: np.ndarray
@@ -58,13 +73,23 @@ class DensityMatrix:
             raise ValueError(f"matrix shape {mat.shape} does not match dims {self.dims}")
         if any(dim < 2 for dim in self.dims):
             raise ValueError("every subsystem dimension must be at least 2")
+        if not (self.normalized or self.state):
+            if np.isfinite(mat).all():
+                _check_hermitian(mat)
+            return
         _check_hermitian(mat)
-        if self.normalized and abs(self.trace - 1.0) > TAU_TRACE:
-            raise ValueError(f"trace {self.trace} is not 1 within tolerance")
+        # Finite entries can still sum beyond the float range: the trace then
+        # reads +-inf or NaN, which every check below rejects.
+        with np.errstate(over="ignore", invalid="ignore"):
+            trace = self.trace
+        if self.normalized and not abs(trace - 1.0) <= TAU_TRACE:
+            raise ValueError(f"trace {trace} is not 1 within tolerance")
         if self.state:
             lo = float(np.linalg.eigvalsh(mat)[0])
-            if lo < -TAU_PSD * max(abs(self.trace), 1.0):
-                raise ValueError(f"operator is not PSD: min eigenvalue {lo}")
+            # The tolerance scales with the trace, which must then be finite; a
+            # PSD operator has a nonnegative trace, so a negative one sets no scale.
+            if not -lo <= TAU_PSD * max(trace, 1.0) < math.inf:
+                raise ValueError(f"operator is not PSD: min eigenvalue {lo}, trace {trace}")
 
     @property
     def trace(self) -> float:
@@ -79,14 +104,30 @@ class DensityMatrix:
         return len(self.dims)
 
 
+def _unchecked(mat: np.ndarray, dims: tuple[int, ...], normalized: bool,
+               state: bool) -> DensityMatrix:
+    """A ``DensityMatrix`` built without its checks and without a copy.
+
+    Only for library results whose properties follow from a check that
+    already ran; each caller names that check.  ``mat`` must be a complex
+    array of shape ``(prod(dims),) * 2`` and ``dims`` a tuple of ints; the
+    array is frozen in place.
+    """
+    mat.setflags(write=False)
+    dm = object.__new__(DensityMatrix)
+    object.__setattr__(dm, "mat", mat)
+    object.__setattr__(dm, "dims", dims)
+    object.__setattr__(dm, "normalized", normalized)
+    object.__setattr__(dm, "state", state)
+    return dm
+
+
 def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
     """Kronecker product; subsystem lists concatenate and traces multiply."""
-    return DensityMatrix(
-        np.kron(a.mat, b.mat),
-        a.dims + b.dims,
-        normalized=a.normalized and b.normalized,
-        state=a.state and b.state,
-    )
+    # Both factors were checked; a product of Hermitian (PSD) factors is Hermitian (PSD).
+    return _unchecked(np.kron(a.mat, b.mat), a.dims + b.dims,
+                      normalized=a.normalized and b.normalized,
+                      state=a.state and b.state)
 
 
 def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -119,7 +160,8 @@ def partial_transpose(dm: DensityMatrix, subsystems: Iterable[int]) -> DensityMa
     for s in subs:
         axes[s], axes[n + s] = axes[n + s], axes[s]
     out = t.transpose(axes).reshape(dm.dim, dm.dim)
-    return DensityMatrix(out, dm.dims, normalized=False, state=False)
+    # dm was checked Hermitian; transposing factors keeps an operator Hermitian.
+    return _unchecked(out, dm.dims, normalized=False, state=False)
 
 
 def partial_trace(dm: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
@@ -134,8 +176,9 @@ def partial_trace(dm: DensityMatrix, discard: Iterable[int]) -> DensityMatrix:
         t = np.trace(t, axis1=s, axis2=s + len(dims))
         dims.pop(s)
     d = int(np.prod(dims))
-    return DensityMatrix(t.reshape(d, d), tuple(dims),
-                         normalized=dm.normalized, state=dm.state)
+    # dm was checked; a partial trace keeps Hermiticity, the trace and positivity.
+    return _unchecked(t.reshape(d, d), tuple(dims),
+                      normalized=dm.normalized, state=dm.state)
 
 
 def permute_subsystems(dm: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
@@ -151,12 +194,13 @@ def permute_subsystems(dm: DensityMatrix, perm: Sequence[int]) -> DensityMatrix:
     t = dm.mat.reshape(dm.dims + dm.dims)
     t = t.transpose(perm + [n + p for p in perm])
     new_dims = tuple(dm.dims[p] for p in perm)
-    return DensityMatrix(t.reshape(dm.dim, dm.dim), new_dims,
-                         normalized=dm.normalized, state=dm.state)
+    # dm was checked; a basis permutation keeps every property it asserts.
+    return _unchecked(t.reshape(dm.dim, dm.dim), new_dims,
+                      normalized=dm.normalized, state=dm.state)
 
 
 def min_eigenvalue_hermitian(m: np.ndarray) -> float:
-    """Smallest eigenvalue of a Hermitian matrix."""
+    """Smallest eigenvalue of a finite Hermitian matrix."""
     m = np.asarray(m, dtype=complex)
     _check_hermitian(m)
     return float(np.linalg.eigvalsh(m)[0])

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .gme import partition_separability_threshold
-from .linalg import TAU_TRACE, DensityMatrix, permute_subsystems, tensor
+from .linalg import TAU_TRACE, DensityMatrix, _unchecked
 from .states import Partition, isotropic_ghz, xform_pt_spectrum, xform_to_dense
 
 TAU_DECOMP = 1e-10  # absolute tolerance on 64x64 decomposition entries
@@ -315,7 +315,8 @@ def rho_diag_closed_form(p: float) -> DensityMatrix:
     scale = 64.0 if p == 0.5 else 64.0 * (1 - 2 * p) ** 2
     mat = np.diag(_rho_diag_numerators(p) / scale).astype(complex)
     normalized = abs(float(np.trace(mat).real) - 1.0) <= TAU_TRACE
-    return DensityMatrix(mat, (2,) * 6, normalized=normalized, state=False)
+    # Real and diagonal by construction, hence Hermitian; the flag is the trace check.
+    return _unchecked(mat, (2,) * 6, normalized=normalized, state=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -348,11 +349,27 @@ class BisepDecomposition:
         return {c.label: c.weight for c in self.components}
 
 
+# One-copy row index of copy A, bits (i1, i3, i5), and of copy B, bits
+# (i2, i4, i6), for each interleaved basis index i1 i2 i3 i4 i5 i6.
+_COPY_A = np.array([(v >> 3 & 4) | (v >> 2 & 2) | (v >> 1 & 1) for v in range(64)])
+_COPY_B = np.array([(v >> 2 & 4) | (v >> 1 & 2) | (v & 1) for v in range(64)])
+_GATHER_A = np.ix_(_COPY_A, _COPY_A)
+_GATHER_B = np.ix_(_COPY_B, _COPY_B)
+
+
 def two_copy_target(p: float) -> DensityMatrix:
     """Two copies of the three-qubit isotropic state, interleaved to
-    A1 B1 A2 B2 A3 B3."""
+    A1 B1 A2 B2 A3 B3.
+
+    Each entry is gathered from the 8x8 X-form matrix r as
+    r[rA, cA] * r[rB, cB], the product ``numpy.kron`` forms, so the result
+    equals the permuted Kronecker square bit for bit.
+    """
     one = xform_to_dense(isotropic_ghz(3, p))
-    return permute_subsystems(tensor(one, one), (0, 3, 1, 4, 2, 5))
+    r = one.mat
+    # XFormState checked the one-copy state; a product of two states is a state.
+    return _unchecked(r[_GATHER_A] * r[_GATHER_B], (2,) * 6,
+                      normalized=one.normalized, state=True)
 
 
 def _identity_residual(p: float, diag_term: np.ndarray, g1: np.ndarray,

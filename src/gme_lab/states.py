@@ -23,8 +23,10 @@ import numpy as np
 from .linalg import (
     DensityMatrix,
     TAU_HERM,
+    TAU_PSD,
     TAU_TRACE,
     _check_hermitian,
+    _unchecked,
     density_matrix_from_json,
     density_matrix_to_json,
     partial_trace,
@@ -89,8 +91,11 @@ class XFormState:
             raise ValueError("X-form entries must be finite")
         if a.min() < -TAU_X or b.min() < -TAU_X:
             raise ValueError("diagonal entries must be nonnegative")
-        # PSD of every 2x2 block: |z_k|^2 <= a_k b_k
-        if float((np.abs(z) ** 2 - a * b).max()) > TAU_X:
+        # PSD of every 2x2 block, |z_k|^2 <= a_k b_k: the blocks' eigenvalues
+        # (a+b)/2 +- hypot((a-b)/2, |z|) are the spectrum, so the smallest is
+        # held to the dense PSD tolerance and xform_to_dense needs no check.
+        lo = float(((a + b) / 2 - np.hypot((a - b) / 2, np.abs(z))).min())
+        if not -lo <= TAU_PSD * max(a.sum() + b.sum(), 1.0):
             raise ValueError("block positivity |z|^2 <= a*b violated")
 
     @property
@@ -150,7 +155,8 @@ def xform_to_dense(x: XFormState) -> DensityMatrix:
         mat[k, d - 1 - k] = x.z[k]
         mat[d - 1 - k, k] = np.conj(x.z[k])
     normalized = abs(x.trace - 1.0) <= TAU_TRACE
-    return DensityMatrix(mat, (2,) * x.n_qubits, normalized=normalized, state=True)
+    # XFormState checked finiteness and block positivity, the PSD check of this matrix.
+    return _unchecked(mat, (2,) * x.n_qubits, normalized=normalized, state=True)
 
 
 def xform_from_dense(dm: DensityMatrix) -> XFormState:
@@ -306,7 +312,7 @@ def product_form_project(s: ProductFormState, subsystem: int,
     """
     proj = np.asarray(projector, dtype=complex)
     scale = _check_hermitian(proj, "projector must be Hermitian")
-    if float(np.abs(proj @ proj - proj).max()) > TAU_HERM * scale:
+    if not float(np.abs(proj @ proj - proj).max()) <= TAU_HERM * scale:
         raise ValueError("projector must be idempotent")
     if subsystem < 0 or subsystem >= len(s.global_dims):
         raise ValueError(f"subsystem {subsystem} out of range")
@@ -328,8 +334,8 @@ def product_form_project(s: ProductFormState, subsystem: int,
         if term.weight * q <= 0.0 or tr_new <= TAU_TRACE:
             continue
         total += term.weight * q
-        new_factor = DensityMatrix(projected / tr_new, f.dims,
-                                   normalized=True, state=f.state)
+        # f and the projector were checked; P f P is PSD when f is, and has unit trace here.
+        new_factor = _unchecked(projected / tr_new, f.dims, normalized=True, state=f.state)
         factors = term.factors[:fi] + (new_factor,) + term.factors[fi + 1:]
         new_terms.append(ProductTerm(term.weight * q, factors))
     if not new_terms or total <= TAU_TRACE:
@@ -383,9 +389,15 @@ def _product_form_array(s: ProductFormState, max_dim: int = 4096) -> np.ndarray:
 
 
 def product_form_to_dense(s: ProductFormState, max_dim: int = 4096) -> DensityMatrix:
-    """Dense expansion sum_t w_t (f_1 x f_2 x ...); guarded against blowup."""
-    return DensityMatrix(_product_form_array(s, max_dim), s.global_dims,
-                         normalized=s.normalized, state=False)
+    """Dense expansion sum_t w_t (f_1 x f_2 x ...); guarded against blowup.
+
+    ``normalized`` holds when the state's weights sum to 1 and every factor
+    is normalized.
+    """
+    normalized = s.normalized and all(f.normalized for t in s.terms for f in t.factors)
+    # Every factor was checked Hermitian, and ProductFormState checked the weights.
+    return _unchecked(_product_form_array(s, max_dim), s.global_dims,
+                      normalized=normalized, state=False)
 
 
 def product_form_submatrix(s: ProductFormState, rows) -> np.ndarray:

@@ -313,8 +313,8 @@ def test_locc_demo_dump_state_equals_json_dump(tmp_path, capsys):
 
 
 def test_locc_demo_expands_the_state_once(capsys, monkeypatch):
-    """One dense expansion and one 729-dimensional ``DensityMatrix`` per run,
-    shared by the residual and the dump."""
+    """One dense expansion per run, shared by the residual and the dump, and
+    no 729-dimensional check: the expansion's factors were checked."""
     expansions, checked = [], []
     to_dense = cli.product_form_to_dense
     post_init = linalg.DensityMatrix.__post_init__
@@ -335,7 +335,7 @@ def test_locc_demo_expands_the_state_once(capsys, monkeypatch):
         code, _, _ = run(capsys, "locc-demo", "--dump-state", os.devnull, *argv)
         assert code == EXIT_OK
         assert expansions == [(3,) * 6]
-        assert checked.count(729) == 1 and max(checked) == 729
+        assert 729 not in checked
 
 
 def test_locc_residual_oracle_is_the_validated_dense_state(capsys, monkeypatch):

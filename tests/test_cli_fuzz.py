@@ -1,16 +1,19 @@
 """Exit-code fuzz of the command-line interface.
 
 Every call must end in exit 0, 2 or 3 with no escaped exception and no
-warning; exit 0 prints no non-finite number, and exit 2 prints nothing on
-stdout and one ``error:`` line (or argparse usage) on stderr.  Arguments are
-drawn from a pool of edge values (NaN, infinities, signed zeros, subnormals,
-values near the float limit) mixed with ordinary numbers.  The search is
-derandomized and keeps no example database, so runs are repeatable; the
-explicit examples reproduce fixed defects and are kept as regressions.
+warning; exit 0 prints no non-finite number, exit 2 prints nothing on
+stdout and one ``error:`` line (or argparse usage) on stderr, and exit 3
+prints one message line on stderr and, where stdout is JSON, valid JSON.
+Arguments are drawn from a pool of edge values (NaN, infinities, signed
+zeros, subnormals, values near the float limit) mixed with ordinary numbers.
+The search is derandomized and keeps no example database, so runs are
+repeatable; the explicit examples reproduce fixed defects and are kept as
+regressions.
 """
 
 import contextlib
 import io
+import json
 import re
 import warnings
 
@@ -47,6 +50,10 @@ GRID = dict(p_start=numbers(), p_stop=numbers(), p_steps=st.integers(-1, 5),
             format=st.sampled_from(["csv", "json"]))
 
 
+def reject_constant(name):
+    raise AssertionError(f"{name} is not valid JSON")
+
+
 def check(argv):
     out, err = io.StringIO(), io.StringIO()
     with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
@@ -65,6 +72,10 @@ def check(argv):
         assert out == "", (argv, out)
         assert err.startswith("usage: ") or (
             err.startswith("error: ") and err.count("\n") == 1), (argv, err)
+    if code == EXIT_NUMERICAL:
+        assert err.count("\n") == 1 and err.endswith("\n"), (argv, err)
+        if argv[0] == "locc-demo" or "--format=json" in argv:
+            json.loads(out, parse_constant=reject_constant)
 
 
 @fuzz()
@@ -105,6 +116,7 @@ def test_ppt_scan(rest):
 @fuzz(100)
 @example(["--x=1e-320", "--p-steps=1"])
 @example(["--x=1e200", "--y=1e200", "--z=1", "--p-steps=1"])
+@example(["--x=1e200", "--y=1e200", "--z=1", "--p-steps=1", "--format=json"])
 @example(["--x=1e200", "--y=t", "--z=1", "--p-start=1", "--p-stop=1e200", "--p-steps=3"])
 @given(options(mode=st.sampled_from(["triangle", "wedge"]), x=numbers() | st.just("t"),
                y=numbers() | st.just("t"), z=numbers() | st.just("t"), tol=numbers(),

@@ -18,7 +18,18 @@ from gme_lab.linalg import (
     tensor,
     write_density_matrix_json,
 )
-from gme_lab.states import isotropic_ghz, pure_state_dm, xform_from_dense, xform_to_dense
+from gme_lab import boundent, separability
+from gme_lab.states import (
+    ProductFormState,
+    ProductTerm,
+    XFormState,
+    isotropic_ghz,
+    product_form_project,
+    product_form_to_dense,
+    pure_state_dm,
+    xform_from_dense,
+    xform_to_dense,
+)
 
 
 def max_mixed(*dims):
@@ -241,6 +252,143 @@ def test_density_matrix_psd_flag():
 def test_density_matrix_shape_vs_dims():
     with pytest.raises(ValueError):
         DensityMatrix(np.eye(4) / 4, (2,))
+
+
+NON_FINITE = [np.nan, np.inf, -np.inf]
+HUGE = 1.5e308   # finite, but two of them sum beyond the float range
+
+
+@pytest.mark.filterwarnings("error")   # a RuntimeWarning is not a rejection
+@pytest.mark.parametrize("value", NON_FINITE)
+@pytest.mark.parametrize("normalized,state", [(True, True), (True, False), (False, True)])
+def test_density_matrix_rejects_non_finite_entries(value, normalized, state):
+    with pytest.raises(ValueError, match="finite"):
+        DensityMatrix(np.full((2, 2), value), (2,), normalized=normalized, state=state)
+    for i, j in ((0, 0), (0, 1)):
+        m = np.eye(2, dtype=complex) / 2
+        m[i, j] = m[j, i] = value
+        with pytest.raises(ValueError, match="finite"):
+            DensityMatrix(m, (2,), normalized=normalized, state=state)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_hermiticity_check_rejects_non_finite(value):
+    for entry in (value, complex(0.0, value), complex(value, value)):
+        m = np.zeros((2, 2), dtype=complex)
+        m[0, 1] = entry
+        m[1, 0] = np.conj(entry)
+        with pytest.raises(ValueError, match="finite"):
+            min_eigenvalue_hermitian(m)
+    # finite entries whose deviation from Hermiticity overflows to inf
+    with pytest.raises(ValueError, match="Hermitian"):
+        min_eigenvalue_hermitian(np.array([[0, HUGE], [-HUGE, 0]], dtype=complex))
+
+
+# Finite diagonals whose trace reads +inf, -inf and (under NumPy's pairwise
+# summation of eight terms) inf + -inf = NaN.
+OVERFLOWING_DIAGONALS = {
+    "inf": [HUGE, HUGE],
+    "-inf": [-HUGE, -HUGE],
+    "nan": [HUGE, HUGE, -HUGE, -HUGE, 0, 0, 0, 0],
+}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("diagonal", OVERFLOWING_DIAGONALS.values(),
+                         ids=OVERFLOWING_DIAGONALS.keys())
+def test_trace_check_rejects_a_trace_beyond_the_float_range(diagonal):
+    with pytest.raises(ValueError, match="trace"):
+        DensityMatrix(np.diag(diagonal), (len(diagonal),), state=False)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("diagonal", OVERFLOWING_DIAGONALS.values(),
+                         ids=OVERFLOWING_DIAGONALS.keys())
+def test_psd_check_rejects_a_trace_beyond_the_float_range(diagonal):
+    # The PSD tolerance is relative to the trace, so no finite scale exists.
+    with pytest.raises(ValueError, match="PSD"):
+        DensityMatrix(np.diag(diagonal), (len(diagonal),), normalized=False)
+    # min eigenvalue -inf with trace -inf: a scale of |trace| would accept it
+    with pytest.raises(ValueError, match="PSD"):
+        DensityMatrix(-np.full((2, 2), HUGE), (2,), normalized=False)
+
+
+# ------------------------------------------- results built without checks
+
+def random_state(rng, dims):
+    d = int(np.prod(dims))
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    rho = g @ g.conj().T
+    return DensityMatrix(rho / np.trace(rho).real, dims)
+
+
+def random_xform(rng, n_qubits, trace=1.0):
+    """X-form operator of the given trace with some blocks on the PSD
+    boundary |z|^2 = a b."""
+    n = 2 ** (n_qubits - 1)
+    a, b = rng.uniform(0.0, 1.0, n), rng.uniform(0.0, 1.0, n)
+    shrink = np.where(rng.random(n) < 0.5, 1.0, rng.uniform(0.0, 1.0, n))
+    z = np.sqrt(a * b) * shrink * np.exp(1j * rng.uniform(0.0, 2 * np.pi, n))
+    tr = (a.sum() + b.sum()) / trace
+    return XFormState(n_qubits, a / tr, b / tr, z / tr)
+
+
+def random_product_form(rng):
+    terms = tuple(ProductTerm(w, (random_state(rng, (2,)), random_state(rng, (3, 2))))
+                  for w in (0.25, 0.75))
+    return ProductFormState(terms, (2, 3, 2))
+
+
+def random_projector(rng, d):
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+    v = q[:, :int(rng.integers(1, d))]
+    return v @ v.conj().T
+
+
+def locc_factors(rng):
+    x, y, z = np.exp(rng.uniform(-3.0, 3.0, 3))
+    source = boundent.biseparable_source_state(0.2, 0.3, 0.5, x, y, z)
+    result = boundent.simulate_locc_triangle((source, source, source))
+    return [f for s in (source, result.state) for t in s.terms for f in t.factors]
+
+
+# Every library result built by linalg._unchecked, per site, from seeded inputs.
+UNCHECKED_SITES = {
+    "tensor": lambda rng: [tensor(random_state(rng, (2,)), random_state(rng, (3, 2)))],
+    "permute_subsystems": lambda rng: [
+        permute_subsystems(random_state(rng, (2, 3, 2)), (2, 0, 1))],
+    "partial_transpose": lambda rng: [
+        partial_transpose(random_state(rng, (2, 3, 2)), subs) for subs in ({0}, {1, 2})],
+    "partial_trace": lambda rng: [
+        partial_trace(random_state(rng, (2, 3, 2)), subs) for subs in ({0}, {1, 2})],
+    "xform_to_dense": lambda rng: [
+        xform_to_dense(random_xform(rng, n, trace)) for n in (2, 3, 5) for trace in (1.0, 2.5)],
+    "two_copy_target": lambda rng: [
+        separability.two_copy_target(p) for p in rng.uniform(-1 / 7, 1.0, 5)],
+    "rho_diag_closed_form": lambda rng: [
+        separability.rho_diag_closed_form(p) for p in (*rng.uniform(-1 / 7, 1.0, 5), 0.5)],
+    "product_form_to_dense": lambda rng: [product_form_to_dense(random_product_form(rng))],
+    "product_form_project": lambda rng: [
+        f for t in product_form_project(random_product_form(rng), 1,
+                                        random_projector(rng, 3))[0].terms
+        for f in t.factors],
+    "qutrit_ppt_state": lambda rng: [
+        boundent.qutrit_ppt_state(p) for p in (*np.exp(rng.uniform(-9.0, 9.0, 5)), 1e-300, 1e300)],
+    "locc_protocol_factors": locc_factors,
+}
+
+
+@pytest.mark.parametrize("site", UNCHECKED_SITES)
+def test_unchecked_results_pass_the_full_checks(site):
+    """The public checks are the oracle for each result that skips them."""
+    rng = np.random.default_rng(sorted(UNCHECKED_SITES).index(site))
+    results = UNCHECKED_SITES[site](rng)
+    assert results
+    for dm in results:
+        assert not dm.mat.flags.writeable
+        checked = DensityMatrix(dm.mat, dm.dims, normalized=dm.normalized, state=dm.state)
+        assert checked.dims == dm.dims and checked.mat.tobytes() == dm.mat.tobytes()
 
 
 # -------------------------------------------------------------------- io

@@ -1,12 +1,14 @@
 """Tests for the two-copy biseparable decomposition and PPT analysis."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from gme_lab.gme import k_copy_threshold
-from gme_lab.linalg import min_eigenvalue_hermitian, partial_transpose
+from gme_lab.linalg import (min_eigenvalue_hermitian, partial_transpose,
+                             permute_subsystems, tensor)
 from gme_lab.separability import (
     ALLOWED_CUTS,
     GAMMA1_CORRECTION,
@@ -34,7 +36,7 @@ from gme_lab.separability import (
     two_copy_residual,
     two_copy_target,
 )
-from gme_lab.states import Partition
+from gme_lab.states import Partition, isotropic_ghz, xform_to_dense
 
 
 # ------------------------------------------------------------- gamma base
@@ -173,8 +175,8 @@ def test_decomposition_after_warm_up_builds_no_constant_operator(monkeypatch):
     two_copy_decomposition(0.1)
     counts = count_constructions(monkeypatch)
     dec = two_copy_decomposition(0.2)
-    # the only PSD checks left are the three dense builds of the target
-    assert counts["eigvalsh"] <= 3
+    # the target is gathered from the X-form, which was checked blockwise
+    assert counts["eigvalsh"] == 0
     assert counts["EmbeddingSpec"] == 0
     assert dec.residual_max <= 1e-10
 
@@ -346,6 +348,22 @@ def test_target_is_the_interleaved_two_copy_state():
     assert t.dims == (2,) * 6
     assert np.isclose(t.trace, 1.0)
     assert np.isclose(t.mat[0, 63].real, 0.015625)  # (p/2)^2 corner pair
+
+
+def interleaved_two_copy_oracle(p):
+    """rho (x) rho by Kronecker product, permuted to A1 B1 A2 B2 A3 B3."""
+    one = xform_to_dense(isotropic_ghz(3, p))
+    return permute_subsystems(tensor(one, one), (0, 3, 1, 4, 2, 5))
+
+
+def test_gathered_target_equals_kron_permute_oracle_exactly():
+    end = (4 * math.sqrt(3) - 3) / 13
+    grid = [*np.linspace(-1 / 7, 1.0, 201), math.nextafter(0.5, 0), 0.5,
+            math.nextafter(0.5, 1), math.nextafter(end, 0), end, math.nextafter(end, 1)]
+    for p in grid:
+        got, want = two_copy_target(p), interleaved_two_copy_oracle(p)
+        assert got.mat.tobytes() == want.mat.tobytes(), p  # values and sign bits
+        assert (got.dims, got.normalized, got.state) == (want.dims, want.normalized, want.state)
 
 
 # -------------------------------------------------------- validity interval

@@ -91,7 +91,8 @@ def test_isotropic_range_enforced():
 def test_isotropic_dense_is_a_state_across_range(n):
     lo, hi = isotropic_p_range(n)
     for p in np.linspace(lo, hi, 21):
-        dm = xform_to_dense(isotropic_ghz(n, p))  # PSD asserted at construction
+        dm = xform_to_dense(isotropic_ghz(n, p))
+        DensityMatrix(dm.mat, dm.dims)  # the full checks xform_to_dense skips
         assert np.isclose(dm.trace, 1.0)
 
 
@@ -170,6 +171,31 @@ def test_xform_block_positivity_rejected():
     with pytest.raises(ValueError):
         XFormState(2, np.array([0.25, 0.25]), np.array([0.25, 0.25]),
                    np.array([0.3, 0.0], dtype=complex))
+
+
+@pytest.mark.parametrize("a0, offset", [
+    (0.0, 1e-6),      # |z|^2 - a b = 1e-12, yet the block has eigenvalue -1e-6
+    (0.5, 1e-9),
+    (0.5, 1e-11),
+    (1e-3, 1e-9),
+    (1e-3, -1e-9),
+])
+def test_xform_block_positivity_agrees_with_the_dense_psd_check(a0, offset):
+    """xform_to_dense skips the dense check, so XFormState must reject
+    exactly what that check would: a block eigenvalue below -TAU_PSD."""
+    from gme_lab.states import XFormState
+
+    a = np.array([a0, 0.5 - a0])
+    z = np.array([a0 + offset, 0.0], dtype=complex)   # smallest eigenvalue -offset
+    mat = np.diag([a[0], a[1], a[1], a[0]]).astype(complex)
+    mat[0, 3] = mat[3, 0] = z[0]
+    builds = (lambda: DensityMatrix(mat, (2, 2)), lambda: XFormState(2, a, a, z))
+    for build in builds:
+        if offset <= 1e-10:
+            build()
+        else:
+            with pytest.raises(ValueError):
+                build()
 
 
 @pytest.mark.parametrize("field", ["a", "b", "z"])
@@ -384,3 +410,15 @@ def test_product_dense_guard():
         (ProductTerm(1.0, tuple(qutrit_mixed() for _ in range(9))),), (3,) * 9)
     with pytest.raises(ValueError):
         product_form_to_dense(big)
+
+
+def test_product_dense_is_normalized_only_when_every_factor_is():
+    """The expansion is not checked, so its flag must follow the factors:
+    weights summing to 1 over an unnormalized factor give trace != 1."""
+    half = DensityMatrix(np.eye(2) / 2, (2,))
+    double = DensityMatrix(np.eye(2), (2,), normalized=False)
+    assert product_form_to_dense(ProductFormState(
+        (ProductTerm(1.0, (half, half)),), (2, 2))).normalized
+    dense = product_form_to_dense(ProductFormState(
+        (ProductTerm(1.0, (half, double)),), (2, 2)))
+    assert not dense.normalized and dense.trace == 2.0
