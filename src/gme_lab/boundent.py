@@ -184,9 +184,14 @@ def witness_trace_triangle(x: float, y: float, z: float) -> float:
     Equals the witness trace of the unnormalized twin-diagonal projection of
     ``triangle_state(x, y, z)``; negative values certify GME of the triangle.
     """
-    norms = (qutrit_ppt_normalization(x) * qutrit_ppt_normalization(y)
-             * qutrit_ppt_normalization(z))
-    return 3.0 * (x * y + z / x + y * z - 1.0) / norms
+    x, y, z = float(x), float(y), float(z)  # overflow to inf without a warning
+    nx, ny, nz = (qutrit_ppt_normalization(v) for v in (x, y, z))
+    norms = nx * ny * nz
+    if norms < math.inf:  # finite norms bound every term of the sum by norms / 9
+        return 3.0 * (x * y + z / x + y * z - 1.0) / norms
+    # The same sum as products of per-pair ratios, each at most 1/3.
+    return 3.0 * ((x / nx) * (y / ny) / nz + (z / nz) / (x * nx) / ny
+                  + (y / ny) * (z / nz) / nx - (1.0 / nx) * (1.0 / ny) / nz)
 
 
 def witness_trace_triangle_dense(x: float, y: float, z: float) -> float:
@@ -222,8 +227,13 @@ def project_wedge_to_D(s: ProductFormState) -> tuple[DensityMatrix, float]:
 
 def witness_trace_wedge(x: float, y: float) -> float:
     """Closed form 3 (x + y + x y - 1) / (N_x N_y) for the projected wedge."""
-    norms = qutrit_ppt_normalization(x) * qutrit_ppt_normalization(y)
-    return 3.0 * (x + y + x * y - 1.0) / norms
+    x, y = float(x), float(y)  # overflow to inf without a warning
+    nx, ny = qutrit_ppt_normalization(x), qutrit_ppt_normalization(y)
+    norms = nx * ny
+    if norms < math.inf:  # finite norms bound every term of the sum by norms / 9
+        return 3.0 * (x + y + x * y - 1.0) / norms
+    # The same sum as products of per-pair ratios, each at most 1/3.
+    return 3.0 * ((x / nx) / ny + (y / ny) / nx + (x / nx) * (y / ny) - (1.0 / nx) / ny)
 
 
 def witness_trace_wedge_dense(x: float, y: float) -> float:
@@ -249,12 +259,14 @@ def _embed_qutrit_pair(pair: DensityMatrix) -> DensityMatrix:
                       normalized=pair.normalized, state=pair.state)
 
 
+@lru_cache(maxsize=1)
 def _flag_dm() -> DensityMatrix:
     mat = np.zeros((FLAG_DIM, FLAG_DIM), dtype=complex)
     mat[0, 0] = 1.0
     return DensityMatrix(mat, (FLAG_DIM,))
 
 
+@lru_cache(maxsize=1)
 def uncorrelated_party_state() -> DensityMatrix:
     """State of the lone party in each source term: maximally mixed on the
     three non-flag levels, hence exactly orthogonal to the flag direction."""

@@ -13,7 +13,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,6 +25,11 @@ from .states import (_product_form_array, isotropic_ghz, product_form_to_dense,
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
+
+# ppt-scan's largest --n.  It enumerates 2^(N-1) - 1 cuts and a 2^N-entry
+# spectrum for each, so its time and output grow as 4^N: one grid point at
+# N = 16 takes about 35 s (in process, one core) and prints 2.2 MB.
+PPT_SCAN_MAX_N = 16
 
 
 class ConfigError(ValueError):
@@ -43,9 +48,10 @@ def round12(x: float) -> float | None:
 
 @dataclass(frozen=True)
 class RunConfig:
-    command: str
+    """The options several subcommands share, validated once.  A subcommand
+    declares only those it reads; the rest keep these defaults."""
+
     n_qubits: int = 3
-    k_max: int = 1
     p_start: float = 0.0
     p_stop: float = 1.0
     p_steps: int = 11
@@ -125,15 +131,15 @@ def _jsonval(v):
     return v
 
 
-def cmd_thresholds(config: RunConfig, n_max: int | None) -> int:
-    if config.k_max < 1:
+def cmd_thresholds(config: RunConfig, args: argparse.Namespace) -> int:
+    if args.kmax < 1:
         raise ConfigError("empty copy-count range")
-    n_hi = n_max if n_max is not None else config.n_qubits
+    n_hi = args.n_max if args.n_max is not None else config.n_qubits
     if n_hi < config.n_qubits:
         raise ConfigError("--n-max below --n")
     rows = []
     for n in range(config.n_qubits, n_hi + 1):
-        for k in range(1, config.k_max + 1):
+        for k in range(1, args.kmax + 1):
             rep = gme.k_copy_threshold(n, k) if k > 1 else gme.single_copy_threshold(n)
             rows.append({"N": n, "k": k, "p_threshold": rep.p_threshold,
                          "kind": rep.kind})
@@ -144,7 +150,7 @@ def cmd_thresholds(config: RunConfig, n_max: int | None) -> int:
     return EXIT_OK
 
 
-def cmd_concurrence(config: RunConfig) -> int:
+def cmd_concurrence(config: RunConfig, args: argparse.Namespace) -> int:
     rows = []
     for p in config.grid():
         c = gme.gm_concurrence_isotropic(config.n_qubits, p)
@@ -153,11 +159,10 @@ def cmd_concurrence(config: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_verify_decomposition(config: RunConfig) -> int:
+def cmd_verify_decomposition(config: RunConfig, args: argparse.Namespace) -> int:
     if config.n_qubits != 3:
         raise separability.UnsupportedNError(
             "the two-copy decomposition is constructed for N = 3 only")
-    tol = config.tolerance if config.tolerance is not None else separability.TAU_DECOMP
     rows = []
     for p in config.grid():
         dec = separability.two_copy_decomposition(p)
@@ -192,16 +197,19 @@ def cmd_verify_decomposition(config: RunConfig) -> int:
                      "weight_gamma_2", "weight_sigma", "diag_min", "valid",
                      "gamma1_correction_applied"], config)
     worst = _worst(r["residual_max"] for r in rows)
-    if not worst <= tol:
-        print(f"decomposition residual {worst:.3e} exceeds tolerance {tol:.3e}",
-              file=sys.stderr)
+    if not worst <= config.tolerance:
+        print(f"decomposition residual {worst:.3e} exceeds tolerance "
+              f"{config.tolerance:.3e}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def cmd_ppt_scan(config: RunConfig) -> int:
+def cmd_ppt_scan(config: RunConfig, args: argparse.Namespace) -> int:
     if config.n_qubits < 2:
         raise ConfigError("ppt-scan needs at least 2 qubits")
+    if config.n_qubits > PPT_SCAN_MAX_N:
+        raise ConfigError(f"ppt-scan takes at most {PPT_SCAN_MAX_N} qubits, "
+                          f"got {config.n_qubits}")
     cuts = separability.all_bipartitions(config.n_qubits)
     rows = []
     for p in config.grid():
@@ -224,14 +232,13 @@ def _parse_param(spec: str, name: str) -> float | None:
         raise ConfigError(f"--{name} must be a number or 't', got {spec!r}")
 
 
-def cmd_witness_scan(config: RunConfig, mode: str, x: str, y: str, z: str,
-                     tol: float) -> int:
-    px, py, pz = _parse_param(x, "x"), _parse_param(y, "y"), _parse_param(z, "z")
+def cmd_witness_scan(config: RunConfig, args: argparse.Namespace) -> int:
+    px, py, pz = (_parse_param(getattr(args, name), name) for name in "xyz")
     rows = []
     for t in config.grid():
         xv = t if px is None else px
         yv = t if py is None else py
-        if mode == "triangle":
+        if args.mode == "triangle":
             zv = t if pz is None else pz
             closed = boundent.witness_trace_triangle(xv, yv, zv)
             dense = boundent.witness_trace_triangle_dense(xv, yv, zv)
@@ -244,22 +251,16 @@ def cmd_witness_scan(config: RunConfig, mode: str, x: str, y: str, z: str,
     _emit(rows, ["x", "y", "z", "closed_form", "dense_trace", "gme_detected"],
           config)
     worst = _worst(abs(r["closed_form"] - r["dense_trace"]) for r in rows)
-    if not worst <= tol:
-        print(f"closed-form vs dense mismatch {worst:.3e} exceeds {tol:.3e}",
-              file=sys.stderr)
+    if not worst <= config.tolerance:
+        print(f"closed-form vs dense mismatch {worst:.3e} exceeds "
+              f"{config.tolerance:.3e}", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
 
 
-def cmd_locc_demo(config: RunConfig, probs: tuple[float, float, float],
-                  params: tuple[float, float, float], tol: float,
-                  dump_state: str | None) -> int:
-    p1, p2, p3 = probs
-    x, y, z = params
-    try:
-        source = boundent.biseparable_source_state(p1, p2, p3, x, y, z)
-    except (ValueError, boundent.NonPositiveParameterError) as exc:
-        raise ConfigError(str(exc))
+def cmd_locc_demo(config: RunConfig, args: argparse.Namespace) -> int:
+    p1, p2, p3, x, y, z = args.p1, args.p2, args.p3, args.x, args.y, args.z
+    source = boundent.biseparable_source_state(p1, p2, p3, x, y, z)
     result = boundent.simulate_locc_triangle((source, source, source))
     # The produced state is expanded once, for the residual and the dump;
     # both expansions' factors were validated when they were built.
@@ -283,19 +284,45 @@ def cmd_locc_demo(config: RunConfig, probs: tuple[float, float, float],
             else f"not detected: witness = {fmt12(closed)} >= 0"),
     }
     _write(_json_text(report), config)
-    if dump_state:
-        with open(dump_state, "w") as fh:
+    if args.dump_state:
+        with open(args.dump_state, "w") as fh:
             write_density_matrix_json(produced, fh)
             fh.write("\n")
-    if not residual <= tol:
-        print(f"protocol residual {residual:.3e} violates tolerance {tol:.3e}",
-              file=sys.stderr)
+    if not residual <= config.tolerance:
+        print(f"protocol residual {residual:.3e} violates tolerance "
+              f"{config.tolerance:.3e}", file=sys.stderr)
         return EXIT_NUMERICAL
     if not abs(closed - dense) <= 1e-10:
         print(f"witness closed-form vs dense mismatch {abs(closed - dense):.3e} "
               f"exceeds 1.000e-10", file=sys.stderr)
         return EXIT_NUMERICAL
     return EXIT_OK
+
+
+def _subcommand(sub, name: str, handler, help: str, *, n: bool = False,
+                grid: tuple[float, float, int] | None = None, fmt: bool = True,
+                tol: float | None = None) -> argparse.ArgumentParser:
+    """Declare one subcommand with only the shared options its handler reads:
+    ``--n``, a p grid with the given defaults, ``--format``, ``--out`` (every
+    subcommand) and ``--tol`` with the given default."""
+    p = sub.add_parser(name, help=help)
+    p.set_defaults(handler=handler)
+    if n:
+        p.add_argument("--n", type=int, default=3, dest="n_qubits",
+                       help="number of qubits N")
+    if grid is not None:
+        p.add_argument("--p-start", type=float, default=grid[0])
+        p.add_argument("--p-stop", type=float, default=grid[1])
+        p.add_argument("--p-steps", type=int, default=grid[2])
+    if fmt:
+        p.add_argument("--format", choices=("csv", "json"), default="csv",
+                       dest="output_format")
+    p.add_argument("--out", default=None, dest="output_path",
+                   help="output file path (default: stdout)")
+    if tol is not None:
+        p.add_argument("--tol", type=float, default=tol, dest="tolerance",
+                       help="numerical tolerance (default %(default)g)")
+    return p
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -305,89 +332,49 @@ def _build_parser() -> argparse.ArgumentParser:
                     "decomposition and witness verification, protocol demos.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, n_default=3, p_grid=(0.0, 1.0, 11)):
-        p.add_argument("--n", type=int, default=n_default, dest="n_qubits",
-                       help="number of qubits N")
-        p.add_argument("--p-start", type=float, default=p_grid[0])
-        p.add_argument("--p-stop", type=float, default=p_grid[1])
-        p.add_argument("--p-steps", type=int, default=p_grid[2])
-        p.add_argument("--format", choices=("csv", "json"), default="csv",
-                       dest="output_format")
-        p.add_argument("--out", default=None, dest="output_path",
-                       help="output file path (default: stdout)")
-        p.add_argument("--tol", type=float, default=None, dest="tolerance",
-                       help="override the default numerical tolerance")
+    p = _subcommand(sub, "thresholds", cmd_thresholds,
+                    "k-copy activation threshold table", n=True)
+    p.add_argument("--kmax", type=int, default=1)
+    p.add_argument("--n-max", type=int, default=None,
+                   help="emit rows for N in [--n, --n-max]")
 
-    p_thr = sub.add_parser("thresholds", help="k-copy activation threshold table")
-    common(p_thr)
-    p_thr.add_argument("--kmax", type=int, default=1)
-    p_thr.add_argument("--n-max", type=int, default=None,
-                       help="emit rows for N in [--n, --n-max]")
+    _subcommand(sub, "concurrence", cmd_concurrence, "GM concurrence over a p grid",
+                n=True, grid=(0.0, 1.0, 11))
+    _subcommand(sub, "verify-decomposition", cmd_verify_decomposition,
+                "verify the two-copy biseparable decomposition",
+                n=True, grid=(0.0, 0.3, 61), tol=separability.TAU_DECOMP)
+    _subcommand(sub, "ppt-scan", cmd_ppt_scan,
+                "partial-transpose spectra across every bipartition",
+                n=True, grid=(0.0, 1.0, 11))
 
-    p_con = sub.add_parser("concurrence", help="GM concurrence over a p grid")
-    common(p_con)
+    p = _subcommand(sub, "witness-scan", cmd_witness_scan,
+                    "witness values over a parameter grid", grid=(0.2, 0.6, 9), tol=1e-10)
+    p.add_argument("--mode", choices=("triangle", "wedge"), default="triangle")
+    p.add_argument("--x", default="1", help="number or 't' (the grid variable)")
+    p.add_argument("--y", default="t", help="number or 't'")
+    p.add_argument("--z", default="t", help="number or 't' (triangle only)")
 
-    p_ver = sub.add_parser("verify-decomposition",
-                           help="verify the two-copy biseparable decomposition")
-    common(p_ver, p_grid=(0.0, 0.3, 61))
-
-    p_ppt = sub.add_parser("ppt-scan",
-                           help="partial-transpose spectra across every bipartition")
-    common(p_ppt)
-
-    p_wit = sub.add_parser("witness-scan", help="witness values over a parameter grid")
-    common(p_wit, p_grid=(0.2, 0.6, 9))
-    p_wit.add_argument("--mode", choices=("triangle", "wedge"), default="triangle")
-    p_wit.add_argument("--x", default="1", help="number or 't' (the grid variable)")
-    p_wit.add_argument("--y", default="t", help="number or 't'")
-    p_wit.add_argument("--z", default="t", help="number or 't' (triangle only)")
-
-    p_locc = sub.add_parser("locc-demo",
-                            help="three-copy triangle protocol, end to end")
-    common(p_locc)
-    p_locc.add_argument("--p1", type=float, default=1 / 3)
-    p_locc.add_argument("--p2", type=float, default=1 / 3)
-    p_locc.add_argument("--p3", type=float, default=1 / 3)
-    p_locc.add_argument("--x", type=float, default=1.0)
-    p_locc.add_argument("--y", type=float, default=0.3)
-    p_locc.add_argument("--z", type=float, default=0.3)
-    p_locc.add_argument("--dump-state", default=None,
-                        help="write the produced dense state as JSON to this path")
+    p = _subcommand(sub, "locc-demo", cmd_locc_demo,
+                    "three-copy triangle protocol, end to end", fmt=False, tol=1e-12)
+    for name, default in (("p1", 1 / 3), ("p2", 1 / 3), ("p3", 1 / 3),
+                          ("x", 1.0), ("y", 0.3), ("z", 0.3)):
+        p.add_argument(f"--{name}", type=float, default=default)
+    p.add_argument("--dump-state", default=None,
+                   help="write the produced dense state as JSON to this path")
     return parser
 
 
+# Built once: main only parses, validates and dispatches.
+_PARSER = _build_parser()
+_CONFIG_FIELDS = frozenset(f.name for f in fields(RunConfig))
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
-        config = RunConfig(
-            command=args.command,
-            n_qubits=args.n_qubits,
-            k_max=getattr(args, "kmax", 1),
-            p_start=args.p_start,
-            p_stop=args.p_stop,
-            p_steps=args.p_steps,
-            output_format=args.output_format,
-            output_path=args.output_path,
-            tolerance=args.tolerance,
-        )
-        if args.command == "thresholds":
-            return cmd_thresholds(config, args.n_max)
-        if args.command == "concurrence":
-            return cmd_concurrence(config)
-        if args.command == "verify-decomposition":
-            return cmd_verify_decomposition(config)
-        if args.command == "ppt-scan":
-            return cmd_ppt_scan(config)
-        if args.command == "witness-scan":
-            tol = config.tolerance if config.tolerance is not None else 1e-10
-            return cmd_witness_scan(config, args.mode, args.x, args.y, args.z, tol)
-        if args.command == "locc-demo":
-            tol = config.tolerance if config.tolerance is not None else 1e-12
-            return cmd_locc_demo(config, (args.p1, args.p2, args.p3),
-                                 (args.x, args.y, args.z), tol, args.dump_state)
-        raise ConfigError(f"unknown command {args.command!r}")
-    except (ConfigError, separability.UnsupportedNError, ValueError) as exc:
+        config = RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
+        return args.handler(config, args)
+    except ValueError as exc:   # ConfigError, UnsupportedNError and every domain error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

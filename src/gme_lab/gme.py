@@ -181,12 +181,14 @@ def activation_classification(n_qubits: int, p: float, k_max: int) -> Activation
     below the partition-separability bound are flagged: no number of copies
     can activate them.  Threshold comparisons are strict with no tolerance
     band; callers probing near a threshold must bring their own margin.
+    p must lie in the admissible range up to the slack :func:`isotropic_ghz`
+    allows; NaN is rejected.
     """
+    if n_qubits < 2:
+        raise ValueError("need at least 2 qubits")
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    lo, hi = -1.0 / (2 ** n_qubits - 1), 1.0
-    if not lo <= p <= hi:
-        raise ValueError(f"p={p} outside [{lo}, {hi}]")
+    _check_isotropic_p(n_qubits, p)
     part_sep = p <= partition_separability_threshold(n_qubits).p_threshold
     copies = None
     for k in range(1, k_max + 1):

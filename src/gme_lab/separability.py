@@ -34,6 +34,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -275,28 +276,24 @@ def sigma_big() -> DensityMatrix:
     return DensityMatrix(mat, (2,) * 6)
 
 
-# Diagonal remainder: 1-based labels -> polynomial giving 64*(1-2p)^2 times
-# the diagonal entry.
-RHO_DIAG_CLASSES: tuple[tuple[tuple[int, ...], str], ...] = (
-    ((1, 22, 43, 64), "(1-p)^2"),
+# Diagonal remainder: 1-based labels and the polynomial giving 64*(1-2p)^2
+# times their diagonal entry.
+RHO_DIAG_CLASSES: tuple[tuple[tuple[int, ...], Callable[[float], float]], ...] = (
+    ((1, 22, 43, 64), lambda p: (1 - p) ** 2),
     ((2, 3, 5, 6, 9, 11, 17, 18, 21, 24, 30, 32,
-      33, 35, 41, 44, 47, 48, 54, 56, 59, 60, 62, 63), "1-10/3 p+7/3 p^2"),
-    ((4, 13, 16, 23, 26, 27, 38, 39, 42, 49, 52, 61), "1-2p-13/3 p^2"),
+      33, 35, 41, 44, 47, 48, 54, 56, 59, 60, 62, 63),
+     lambda p: 1 - 10.0 / 3.0 * p + 7.0 / 3.0 * p ** 2),
+    ((4, 13, 16, 23, 26, 27, 38, 39, 42, 49, 52, 61),
+     lambda p: 1 - 2 * p - 13.0 / 3.0 * p ** 2),
     ((7, 8, 10, 12, 14, 15, 19, 20, 25, 28, 29, 31,
-      34, 36, 37, 40, 45, 46, 50, 51, 53, 55, 57, 58), "1-6p+31/3 p^2"),
-)
-
-_CLASS_POLYS = (
-    lambda p: (1 - p) ** 2,
-    lambda p: 1 - 10.0 / 3.0 * p + 7.0 / 3.0 * p ** 2,
-    lambda p: 1 - 2 * p - 13.0 / 3.0 * p ** 2,
-    lambda p: 1 - 6 * p + 31.0 / 3.0 * p ** 2,
+      34, 36, 37, 40, 45, 46, 50, 51, 53, 55, 57, 58),
+     lambda p: 1 - 6 * p + 31.0 / 3.0 * p ** 2),
 )
 
 
 def _rho_diag_numerators(p: float) -> np.ndarray:
     out = np.zeros(64)
-    for (labels, _), poly in zip(RHO_DIAG_CLASSES, _CLASS_POLYS):
+    for labels, poly in RHO_DIAG_CLASSES:
         for m in labels:
             out[m - 1] = poly(p)
     return out

@@ -33,6 +33,7 @@ from .linalg import (
 )
 
 TAU_X = 1e-12  # absolute threshold for entries that must vanish in X-form
+DENSE_DIM_LIMIT = 4096  # largest dense expansion of a product-form state (256 MiB)
 
 __all__ = [
     "NotXFormError",
@@ -370,15 +371,16 @@ def product_form_partial_trace(s: ProductFormState,
     return ProductFormState(tuple(new_terms), gd, normalized=s.normalized)
 
 
-def _product_form_array(s: ProductFormState, max_dim: int = 4096) -> np.ndarray:
-    """The array sum_t w_t (f_1 x f_2 x ...), unchecked; guarded against blowup.
+def _product_form_array(s: ProductFormState) -> np.ndarray:
+    """The array sum_t w_t (f_1 x f_2 x ...), unchecked; refused above
+    ``DENSE_DIM_LIMIT`` before anything is allocated.
 
     Every factor already passed ``DensityMatrix``, so a caller that only
     compares the expansion against another needs no second validation.
     """
     d = int(np.prod(s.global_dims, dtype=np.int64))
-    if d > max_dim:
-        raise ValueError(f"dense dimension {d} exceeds limit {max_dim}")
+    if d > DENSE_DIM_LIMIT:
+        raise ValueError(f"dense dimension {d} exceeds limit {DENSE_DIM_LIMIT}")
     out = np.zeros((d, d), dtype=complex)
     for term in s.terms:
         block = np.array([[term.weight]], dtype=complex)
@@ -388,15 +390,16 @@ def _product_form_array(s: ProductFormState, max_dim: int = 4096) -> np.ndarray:
     return out
 
 
-def product_form_to_dense(s: ProductFormState, max_dim: int = 4096) -> DensityMatrix:
-    """Dense expansion sum_t w_t (f_1 x f_2 x ...); guarded against blowup.
+def product_form_to_dense(s: ProductFormState) -> DensityMatrix:
+    """Dense expansion sum_t w_t (f_1 x f_2 x ...); refused above
+    ``DENSE_DIM_LIMIT``.
 
     ``normalized`` holds when the state's weights sum to 1 and every factor
     is normalized.
     """
     normalized = s.normalized and all(f.normalized for t in s.terms for f in t.factors)
     # Every factor was checked Hermitian, and ProductFormState checked the weights.
-    return _unchecked(_product_form_array(s, max_dim), s.global_dims,
+    return _unchecked(_product_form_array(s), s.global_dims,
                       normalized=normalized, state=False)
 
 

@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from gme_lab import states
 from gme_lab.boundent import (
     FLAG_DIM,
     NonPositiveParameterError,
@@ -241,6 +242,21 @@ def test_wedge_closed_form_matches_dense_random():
         assert abs(witness_trace_wedge(x, y) - witness_trace_wedge_dense(x, y)) <= 1e-10
 
 
+@pytest.mark.filterwarnings("error")
+def test_closed_forms_match_dense_across_the_float_range():
+    # x y or the product of the normalizations overflows for most of these;
+    # the closed forms then read inf/inf = nan, or 0 against a nonzero trace.
+    assert witness_trace_triangle(1e160, 1e160, 1.0) == pytest.approx(1 / 27, rel=1e-12)
+    assert witness_trace_wedge(1e200, 1e200) == pytest.approx(1 / 3, rel=1e-12)
+    rng = np.random.default_rng(46)
+    for _ in range(200):
+        x, y, z = 10.0 ** rng.uniform(-300, 300, size=3)
+        for closed, dense in ((witness_trace_triangle(x, y, z),
+                               witness_trace_triangle_dense(x, y, z)),
+                              (witness_trace_wedge(x, y), witness_trace_wedge_dense(x, y))):
+            assert math.isclose(closed, dense, rel_tol=1e-12, abs_tol=1e-300), (x, y, z)
+
+
 def test_wedge_projection():
     state, prob = project_wedge_to_D(wedge_state(0.3, 0.3))
     assert state.dims == (3, 3, 3)
@@ -262,6 +278,20 @@ def test_source_single_term_leaves_party_one_uncorrelated():
     term = s.terms[0]
     assert np.array_equal(term.factors[0].mat, uncorrelated_party_state().mat)
     assert s.global_dims == (FLAG_DIM,) * 9
+
+
+def test_source_state_is_not_expanded(monkeypatch):
+    # dimension 4^9 = 262144: the 1 TiB expansion is refused before any allocation
+    s = biseparable_source_state(1 / 3, 1 / 3, 1 / 3, 1.0, 0.3, 0.3)
+
+    def boom(*args, **kwargs):
+        raise AssertionError("allocated before the dimension check")
+
+    monkeypatch.setattr(np, "zeros", boom)
+    monkeypatch.setattr(np, "kron", boom)
+    for expand in (product_form_to_dense, states._product_form_array):
+        with pytest.raises(ValueError, match="262144 exceeds limit 4096"):
+            expand(s)
 
 
 def test_source_validates_probabilities():

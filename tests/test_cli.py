@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 
+import argparse
 import csv
 import dataclasses
 import io
@@ -182,6 +183,18 @@ def test_ppt_scan(capsys):
     assert by_p[grid[-1]] == {"false"}  # p = 0.3 above
 
 
+@pytest.mark.parametrize("n", [str(cli.PPT_SCAN_MAX_N + 1), "40", "100000"])
+def test_ppt_scan_refuses_n_above_ceiling(capsys, monkeypatch, n):
+    def boom(*args, **kwargs):
+        raise AssertionError("cuts enumerated")
+
+    monkeypatch.setattr(separability, "all_bipartitions", boom)
+    code, out, err = run(capsys, "ppt-scan", "--n", n, "--p-steps", "1")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert err == f"error: ppt-scan takes at most {cli.PPT_SCAN_MAX_N} qubits, got {n}\n"
+
+
 @pytest.mark.parametrize("n", ["1", "0", "-3"])
 def test_ppt_scan_rejects_fewer_than_two_qubits(capsys, n):
     code, out, err = run(capsys, "ppt-scan", "--n", n)
@@ -314,10 +327,12 @@ def test_locc_demo_dump_state_equals_json_dump(tmp_path, capsys):
 
 def test_locc_demo_expands_the_state_once(capsys, monkeypatch):
     """One dense expansion per run, shared by the residual and the dump, and
-    no 729-dimensional check: the expansion's factors were checked."""
-    expansions, checked = [], []
+    no 729-dimensional check: the expansion's factors were checked.  Once
+    the constant carrier states are cached, a run needs no eigvalsh."""
+    expansions, checked, eigvalsh_calls = [], [], []
     to_dense = cli.product_form_to_dense
     post_init = linalg.DensityMatrix.__post_init__
+    eigvalsh = np.linalg.eigvalsh
 
     def counting_to_dense(s, *args, **kwargs):
         expansions.append(s.global_dims)
@@ -327,8 +342,14 @@ def test_locc_demo_expands_the_state_once(capsys, monkeypatch):
         post_init(self)
         checked.append(self.dim)
 
+    def counting_eigvalsh(a, *args, **kwargs):
+        eigvalsh_calls.append(a.shape)
+        return eigvalsh(a, *args, **kwargs)
+
+    assert run(capsys, "locc-demo")[0] == EXIT_OK     # warm the caches
     monkeypatch.setattr(cli, "product_form_to_dense", counting_to_dense)
     monkeypatch.setattr(linalg.DensityMatrix, "__post_init__", counting_post_init)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     for argv in ((), ("--x", "0.7", "--y", "1.3", "--z", "0.4")):
         expansions.clear()
         checked.clear()
@@ -336,6 +357,7 @@ def test_locc_demo_expands_the_state_once(capsys, monkeypatch):
         assert code == EXIT_OK
         assert expansions == [(3,) * 6]
         assert 729 not in checked
+        assert eigvalsh_calls == []
 
 
 def test_locc_residual_oracle_is_the_validated_dense_state(capsys, monkeypatch):
@@ -359,21 +381,49 @@ def test_locc_residual_oracle_is_the_validated_dense_state(capsys, monkeypatch):
     assert len(oracles) == len(params)
 
 
+# Parameters whose product x y overflows a float.
+OVERFLOW_ARGVS = [
+    ("witness-scan", "--x", "1e200", "--y", "1e200", "--z", "1", "--p-steps", "1"),
+    # the overflowing rows come after a finite one
+    ("witness-scan", "--x", "1e200", "--z", "1", "--p-start", "1", "--p-stop", "1e200",
+     "--p-steps", "3"),
+    ("locc-demo", "--x", "1e200", "--y", "1e200", "--z", "1e200"),
+]
+OVERFLOW_IDS = ["witness-scan-one-row", "witness-scan-nan-after-finite-row", "locc-demo"]
+
+
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("argv, message", [
-    # closed form inf/inf = nan against a finite dense trace
-    (("witness-scan", "--x", "1e200", "--y", "1e200", "--z", "1", "--p-steps", "1"),
-     "closed-form vs dense mismatch nan"),
-    # the nan rows come after a finite one, which the built-in max would keep
-    (("witness-scan", "--x", "1e200", "--z", "1", "--p-start", "1", "--p-stop", "1e200",
-      "--p-steps", "3"), "closed-form vs dense mismatch nan"),
-    (("locc-demo", "--x", "1e200", "--y", "1e200", "--z", "1e200"),
-     "witness closed-form vs dense mismatch nan"),
-], ids=["witness-scan-one-row", "witness-scan-nan-after-finite-row", "locc-demo"])
-def test_contract_checks_fail_on_nan(capsys, argv, message):
+@pytest.mark.parametrize("argv, message", zip(OVERFLOW_ARGVS, [
+    "closed-form vs dense mismatch nan",
+    # the built-in max would keep the finite row and drop the nan ones
+    "closed-form vs dense mismatch nan",
+    "witness closed-form vs dense mismatch nan",
+]), ids=OVERFLOW_IDS)
+def test_contract_checks_fail_on_nan(capsys, monkeypatch, argv, message):
+    closed_form = boundent.witness_trace_triangle
+
+    def nan_where_xy_overflows(x, y, z):
+        return math.nan if math.isinf(x * y) else closed_form(x, y, z)
+
+    monkeypatch.setattr(boundent, "witness_trace_triangle", nan_where_xy_overflows)
     code, _, err = run(capsys, *argv)
     assert code == EXIT_NUMERICAL
     assert err.startswith(message)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", OVERFLOW_ARGVS, ids=OVERFLOW_IDS)
+def test_witness_closed_form_survives_overflow(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (EXIT_OK, "")
+    if argv[0] == "locc-demo":
+        report = json.loads(out)
+        pairs = [(report["witness_closed_form"], report["witness_dense"])]
+    else:
+        pairs = [(float(r[3]), float(r[4])) for r in parse_csv(out)[1]]
+    assert len(pairs) == (3 if "3" in argv else 1)
+    for closed, dense in pairs:
+        assert math.isfinite(closed) and abs(closed - dense) <= 1e-10
 
 
 def test_verify_decomposition_fails_on_nan_residual(capsys, monkeypatch):
@@ -429,6 +479,47 @@ def test_non_finite_parameters_rejected(capsys, argv):
     assert code == EXIT_CONFIG
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+# ------------------------------------------------------------------ parser
+
+def test_parser_is_built_once(capsys, monkeypatch, tmp_path):
+    def boom(*args, **kwargs):
+        raise AssertionError("parser rebuilt")
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", boom)
+    for argv in (("thresholds", "--kmax", "2"),
+                 ("concurrence", "--p-steps", "3"),
+                 ("verify-decomposition", "--p-steps", "2"),
+                 ("ppt-scan", "--n", "4", "--p-steps", "2"),
+                 ("witness-scan", "--p-steps", "2"),
+                 ("locc-demo", "--dump-state", str(tmp_path / "state.json"))):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (EXIT_OK, "") and out, argv
+
+
+@pytest.mark.parametrize("argv", [
+    ("thresholds", "--p-start", "0"),
+    ("thresholds", "--p-stop", "1"),
+    ("thresholds", "--p-steps", "3"),
+    ("thresholds", "--tol", "1e-30"),
+    ("concurrence", "--tol", "1e-30"),
+    ("ppt-scan", "--tol", "1e-30"),
+    ("witness-scan", "--n", "3"),
+    ("locc-demo", "--n", "3"),
+    ("locc-demo", "--p-start", "0"),
+    ("locc-demo", "--p-stop", "1"),
+    ("locc-demo", "--p-steps", "3"),
+    ("locc-demo", "--format", "csv"),
+], ids=" ".join)
+def test_option_the_subcommand_does_not_read_is_rejected(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == EXIT_CONFIG
+    assert captured.out == ""
+    assert captured.err.startswith("usage: ")
+    assert f"unrecognized arguments: {argv[1]} {argv[2]}" in captured.err
 
 
 # ------------------------------------------------------------- determinism

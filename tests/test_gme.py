@@ -259,6 +259,30 @@ def test_activation_validates_kmax():
         activation_classification(3, 0.3, 0)
 
 
+def test_activation_beyond_float_range_of_2_to_the_n():
+    # The range check once formed 2.0 ** N and overflowed above N = 1023.
+    # One copy sits at the threshold 1/2 (not strictly above it); two activate.
+    rep = activation_classification(1100, 0.5, 2)
+    assert rep.copies == 2 and not rep.partition_separable
+
+
+@pytest.mark.parametrize("n", [3, 1100])
+def test_activation_range_matches_isotropic_ghz(n):
+    lo = isotropic_p_range(n)[0]
+    for p in (1 + 1e-13, lo - 1e-13):     # within the slack isotropic_ghz allows
+        activation_classification(n, p, 2)
+        gm_concurrence_isotropic(n, p)
+    for p in (math.nan, 1 + 1e-6, -math.inf):
+        with pytest.raises(ValueError, match="outside"):
+            activation_classification(n, p, 2)
+
+
+@pytest.mark.parametrize("n", [1, 0, -2])
+def test_activation_rejects_fewer_than_two_qubits(n):
+    with pytest.raises(ValueError, match="at least 2 qubits"):
+        activation_classification(n, 0.5, 2)
+
+
 def test_thresholds_up_to_1024_qubits_equal_the_float_formula():
     """Bit-identical to r / (2^(N-1) + r), r = (2^(N-1) - 1)^(1/k), where that
     float formula is finite; at N = 1024, k = 1 its denominator overflowed to
