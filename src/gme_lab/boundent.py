@@ -29,7 +29,6 @@ party pair sharing them: x to parties {1,2}, y to {1,3}, z to {2,3}.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -98,13 +97,12 @@ def qutrit_ppt_state(p: float) -> DensityMatrix:
     {0, 1/N_p, (p + 1/p)/N_p} and is therefore positive for every p.
     """
     norm = qutrit_ppt_normalization(p)
-    v = np.zeros(9, dtype=complex)
-    v[0] = v[4] = v[8] = 1.0  # |00> + |11> + |22>
-    mat = np.outer(v, v.conj())
-    for a, b in ((0, 1), (1, 2), (2, 0)):
-        mat[3 * a + b, 3 * a + b] += p
-    for a, b in ((0, 2), (1, 0), (2, 1)):
-        mat[3 * a + b, 3 * a + b] += 1.0 / p
+    a, b = np.unravel_index(np.arange(9), (3, 3))
+    # Noise p on |01>, |12>, |20> and 1/p on |02>, |10>, |21>, then v v^T
+    # with v = |00> + |11> + |22>.
+    mat = np.diag(np.array([0.0, p, 1.0 / p])[(b - a) % 3]).astype(complex)
+    twins = np.flatnonzero(a == b)
+    mat[np.ix_(twins, twins)] = 1.0
     # qutrit_ppt_normalization checked p > 0 and N_p finite: v v^T plus a
     # nonnegative diagonal, over its trace N_p, is a real unit-trace state.
     return _unchecked(mat / norm, (3, 3), normalized=True, state=True)
@@ -131,10 +129,9 @@ def triangle_state(x: float, y: float, z: float) -> ProductFormState:
 
 
 # Dense-expansion index of |ii>_{B1 C1} |jj>_{A2 C2} |kk>_{A3 B3}, listed in
-# the subspace order (i*3 + j)*3 + k: (A2, A3, B1, B3, C1, C2) = (j, k, i, k, i, j).
-_TRIANGLE_ROWS = np.array([
-    ((((j * 3 + k) * 3 + i) * 3 + k) * 3 + i) * 3 + j
-    for i, j, k in itertools.product(range(3), repeat=3)])
+# the subspace order |i>|j>|k>: (A2, A3, B1, B3, C1, C2) = (j, k, i, k, i, j).
+_I, _J, _K = np.unravel_index(np.arange(27), (3, 3, 3))
+_TRIANGLE_ROWS = np.ravel_multi_index((_J, _K, _I, _K, _I, _J), (3,) * 6)
 
 
 def _normalized_projection(reduced: np.ndarray) -> tuple[DensityMatrix, float]:
@@ -169,12 +166,10 @@ def witness_w3() -> DensityMatrix:
     coherences among |000>, |111>, |222>.  Negative expectation values
     certify GME; the operator has trace 12 and is not positive."""
     mat = np.zeros((27, 27), dtype=complex)
-    for d in _W3_DIAGONAL:
-        i = (d[0] * 3 + d[1]) * 3 + d[2]
-        mat[i, i] = 1.0
-    for a, b in ((0, 13), (0, 26), (13, 26)):  # 000, 111, 222
-        mat[a, b] = -1.0
-        mat[b, a] = -1.0
+    ghz = np.ravel_multi_index((np.arange(3),) * 3, (3, 3, 3))  # 000, 111, 222
+    mat[np.ix_(ghz, ghz)] = -1.0   # its diagonal is overwritten below
+    diag = np.ravel_multi_index(np.transpose(_W3_DIAGONAL), (3, 3, 3))
+    mat[diag, diag] = 1.0
     return DensityMatrix(mat, (3, 3, 3), normalized=False, state=False)
 
 
@@ -212,9 +207,8 @@ def wedge_state(x: float, y: float) -> ProductFormState:
 
 
 # Dense-expansion index of |i>_{B1} |j>_{A2} |kk>_{A3 B3}, listed in the
-# subspace order (i*3 + j)*3 + k: (A2, A3, B1, B3) = (j, k, i, k).
-_WEDGE_ROWS = np.array([((j * 3 + k) * 3 + i) * 3 + k
-                        for i, j, k in itertools.product(range(3), repeat=3)])
+# subspace order |i>|j>|k>: (A2, A3, B1, B3) = (j, k, i, k).
+_WEDGE_ROWS = np.ravel_multi_index((_J, _K, _I, _K), (3,) * 4)
 
 
 def project_wedge_to_D(s: ProductFormState) -> tuple[DensityMatrix, float]:
@@ -247,15 +241,21 @@ def witness_trace_wedge_dense(x: float, y: float) -> float:
 
 FLAG_DIM = 4  # one flag direction |0> plus three embedded qutrit levels
 
-_EMBED = np.zeros((FLAG_DIM, 3), dtype=complex)
-_EMBED[1:, :] = np.eye(3)  # qutrit level l -> carrier level l+1
+
+def _qutrit_rows(n: int) -> np.ndarray:
+    """Carrier index of every n-qutrit basis state: qutrit level l sits on
+    level l+1 of its dim-4 carrier."""
+    levels = np.unravel_index(np.arange(3 ** n), (3,) * n)
+    return np.ravel_multi_index(tuple(lv + 1 for lv in levels), (FLAG_DIM,) * n)
 
 
 def _embed_qutrit_pair(pair: DensityMatrix) -> DensityMatrix:
     """Lift a two-qutrit state onto levels 1..3 of two dim-4 carriers."""
-    E = np.kron(_EMBED, _EMBED)
-    # pair was checked; conjugation by an isometry keeps every property it asserts.
-    return _unchecked(E @ pair.mat @ E.conj().T, (FLAG_DIM, FLAG_DIM),
+    rows = _qutrit_rows(2)
+    mat = np.zeros((FLAG_DIM ** 2,) * 2, dtype=complex)
+    mat[np.ix_(rows, rows)] = pair.mat
+    # pair was checked; placing it on a principal block keeps every property it asserts.
+    return _unchecked(mat, (FLAG_DIM, FLAG_DIM),
                       normalized=pair.normalized, state=pair.state)
 
 
@@ -326,9 +326,11 @@ class LoccTriangleResult:
 # Flag-orthogonal projector used by the protocol.
 _NOT_FLAG = np.diag([0.0, 1.0, 1.0, 1.0]).astype(complex)
 
-# Within a copy: slot-major index of subsystem A_m^(n) is 3*(n-1) + (m-1).
-_PROJECTED = (0, 9 + 4, 18 + 8)        # A1^(1) copy 1, A2^(2) copy 2, A3^(3) copy 3
-_KEPT = (1, 2, 12, 14, 24, 25)         # A2^(1), A3^(1), A1^(2), A3^(2), A1^(3), A2^(3)
+# Subsystem A_m^(n) of copy c sits at (c, n, m) of the slot-major joint
+# state.  Copy c projects A_c^(c) and keeps the other two carriers of slot c.
+_COPY, _SLOT, _PARTY = np.unravel_index(np.arange(27), (3, 3, 3))
+_PROJECTED = np.flatnonzero((_SLOT == _COPY) & (_PARTY == _COPY)).tolist()
+_KEPT = np.flatnonzero((_SLOT == _COPY) & (_PARTY != _COPY)).tolist()
 
 
 def _restrict_carriers_to_qutrits(s: ProductFormState) -> ProductFormState:
@@ -337,12 +339,11 @@ def _restrict_carriers_to_qutrits(s: ProductFormState) -> ProductFormState:
     for term in s.terms:
         factors = []
         for f in term.factors:
-            # Carrier index of every qutrit basis state: levels 1..3 per carrier.
-            rows = np.zeros(1, dtype=np.int64)
-            for _ in range(f.n_subsystems):
-                rows = (rows[:, None] * FLAG_DIM + np.arange(1, FLAG_DIM)).ravel()
+            rows = _qutrit_rows(f.n_subsystems)
             reduced = f.mat[np.ix_(rows, rows)]
-            leak = abs(float(np.trace(reduced).real) - f.trace)
+            # The flag-level diagonal itself: a trace difference would carry
+            # the rounding of two sums, too large to test absolutely at scale.
+            leak = float(np.abs(np.delete(f.mat.diagonal(), rows)).sum())
             if leak > 1e-12:
                 raise ValueError(f"carrier has {leak:.2e} weight on the flag direction")
             # f was checked and the leak check keeps its trace: a principal

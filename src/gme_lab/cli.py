@@ -31,6 +31,11 @@ EXIT_NUMERICAL = 3
 # N = 16 takes about 35 s (in process, one core) and prints 2.2 MB.
 PPT_SCAN_MAX_N = 16
 
+# thresholds' largest table, (--n-max - --n + 1) * (--kmax + 1) rows.  Every
+# row is held until the table is written: 200,000 rows take 0.6-1.0 s and
+# about 65 MB (in process, one core), and time and memory grow linearly.
+THRESHOLDS_MAX_ROWS = 200_000
+
 
 class ConfigError(ValueError):
     pass
@@ -137,6 +142,10 @@ def cmd_thresholds(config: RunConfig, args: argparse.Namespace) -> int:
     n_hi = args.n_max if args.n_max is not None else config.n_qubits
     if n_hi < config.n_qubits:
         raise ConfigError("--n-max below --n")
+    n_rows = (n_hi - config.n_qubits + 1) * (args.kmax + 1)
+    if n_rows > THRESHOLDS_MAX_ROWS:
+        raise ConfigError(f"thresholds prints at most {THRESHOLDS_MAX_ROWS} rows, "
+                          f"got {n_rows}")
     rows = []
     for n in range(config.n_qubits, n_hi + 1):
         for k in range(1, args.kmax + 1):

@@ -89,19 +89,16 @@ def gm_concurrence_isotropic(n_qubits: int, p: float) -> float:
     """Closed form max(0, |p| - (1-p)(1 - 2^(1-N))) for the isotropic family.
 
     p must lie in the admissible range, up to the slack
-    :func:`isotropic_ghz` allows; NaN is rejected.
+    :func:`isotropic_ghz` allows; NaN is rejected.  N must be at least 2.
     """
-    if n_qubits < 2:
-        raise ValueError("need at least 2 qubits")
     _check_isotropic_p(n_qubits, p)
     return max(0.0, abs(p) - (1 - p) * (1 - 2.0 ** (1 - n_qubits)))
 
 
 def single_copy_threshold(n_qubits: int) -> ThresholdReport:
-    """GME threshold of a single copy: (2^(N-1) - 1) / (2^N - 1)."""
-    if n_qubits < 2:
-        raise ValueError("need at least 2 qubits")
-    value = (2 ** (n_qubits - 1) - 1) / (2 ** n_qubits - 1)
+    """GME threshold of a single copy: (2^(N-1) - 1) / (2^N - 1), the k = 1
+    value of :func:`k_copy_threshold`."""
+    value = k_copy_threshold(n_qubits, 1).p_threshold
     return ThresholdReport(n_qubits, 1, value, "single_copy")
 
 
@@ -123,11 +120,7 @@ def k_copy_threshold(n_qubits: int, k: int) -> ThresholdReport:
         # taken in log space (t underflows to 0 long before it could overflow).
         t = math.exp(math.log(half - 1) / k - (n_qubits - 1) * math.log(2))
         value = t / (1 + t)
-    note = None
-    if k == 1:
-        same = value == single_copy_threshold(n_qubits).p_threshold
-        note = "k=1 value equals the single-copy threshold" if same else \
-            "k=1 value differs from the single-copy threshold"
+    note = "k=1 value equals the single-copy threshold" if k == 1 else None
     return ThresholdReport(n_qubits, k, value, "k_copy", note=note)
 
 

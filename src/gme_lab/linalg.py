@@ -3,7 +3,10 @@
 Operators are stored as plain numpy arrays together with the ordered list of
 subsystem dimensions.  The basis convention is most-significant-first: the
 composite index of |i_1 ... i_N> is sum_k i_k * prod_{m>k} d_m, which is
-exactly the ordering produced by ``numpy.kron``.
+exactly the ordering produced by ``numpy.kron``.  Every basis-index vector in
+the package is built in this order by ``numpy.ravel_multi_index`` (digits
+come from ``numpy.unravel_index``), and every embedding or restriction
+between spaces is an index placement (``numpy.ix_``), not an isometry product.
 """
 
 from __future__ import annotations

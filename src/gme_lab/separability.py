@@ -67,12 +67,6 @@ class UnsupportedNError(ValueError):
     """Raised for qubit counts the two-copy decomposition does not cover."""
 
 
-def _bits(m: int) -> tuple[int, ...]:
-    """6-bit string i1..i6 of a 1-based basis label m in 1..64."""
-    v = m - 1
-    return tuple((v >> (5 - k)) & 1 for k in range(6))
-
-
 @dataclass(frozen=True)
 class EmbeddingSpec:
     """Four distinct basis labels forming a 2x2 rectangle across one cut.
@@ -95,13 +89,14 @@ class EmbeddingSpec:
             raise RectangleViolationError(f"labels {ms} must lie in 1..64")
         if len(set(ms)) != 4:
             raise RectangleViolationError(f"labels {ms} are not distinct")
-        b1, b2, b3, b4 = (_bits(m) for m in ms)
-        var_d = frozenset(k for k in range(6) if b1[k] != b2[k])  # i' -> j'
-        var_c = frozenset(k for k in range(6) if b1[k] != b3[k])  # i -> j
+        # Bit strings i1..i6, one row per label.
+        b1, b2, b3, b4 = np.transpose(np.unravel_index(np.subtract(ms, 1), (2,) * 6))
+        var_d = frozenset(np.flatnonzero(b1 != b2).tolist())  # i' -> j'
+        var_c = frozenset(np.flatnonzero(b1 != b3).tolist())  # i -> j
         if not var_d or not var_c or var_d & var_c:
             raise RectangleViolationError(f"labels {ms} do not span a rectangle")
-        expect4 = tuple(b1[k] ^ (k in var_d) ^ (k in var_c) for k in range(6))
-        if expect4 != b4:
+        # m4 flips both sets of positions: b4 = b1 ^ (b1 ^ b2) ^ (b1 ^ b3).
+        if not np.array_equal(b4, b1 ^ b2 ^ b3):
             raise RectangleViolationError(f"label m4={self.m4} breaks the rectangle {ms}")
         cut = None
         for side_a, side_b in ALLOWED_CUTS:
@@ -236,7 +231,7 @@ def sigma_base() -> DensityMatrix:
     return DensityMatrix(sum(mats) / 16.0, (2, 2, 2, 2))
 
 
-def _sigma_rows(k: int) -> list[int]:
+def _sigma_rows(k: int) -> np.ndarray:
     """Six-qubit basis index of each of sigma's 16 basis states, duplicated.
 
     sigma's qubits (q1, q2, q3, q4) land as: q1 at copy-A position k, q2 at
@@ -249,12 +244,10 @@ def _sigma_rows(k: int) -> list[int]:
     """
     if k not in (1, 2, 3):
         raise ValueError("k must be 1, 2 or 3")
-    rows = []
-    for q1, q2, q3, q4 in itertools.product(range(2), repeat=4):
-        a, b = [q3] * 3, [q4] * 3
-        a[k - 1], b[k - 1] = q1, q2
-        rows.append(((((a[0] * 2 + b[0]) * 2 + a[1]) * 2 + b[1]) * 2 + a[2]) * 2 + b[2])
-    return rows
+    q1, q2, q3, q4 = np.unravel_index(np.arange(16), (2,) * 4)
+    bits = [q3, q4] * 3                      # A1 B1 A2 B2 A3 B3
+    bits[2 * k - 2], bits[2 * k - 1] = q1, q2
+    return np.ravel_multi_index(bits, (2,) * 6)
 
 
 def sigma_embedded_term(k: int) -> tuple[DensityMatrix, tuple[frozenset[int], frozenset[int]]]:
@@ -348,8 +341,9 @@ class BisepDecomposition:
 
 # One-copy row index of copy A, bits (i1, i3, i5), and of copy B, bits
 # (i2, i4, i6), for each interleaved basis index i1 i2 i3 i4 i5 i6.
-_COPY_A = np.array([(v >> 3 & 4) | (v >> 2 & 2) | (v >> 1 & 1) for v in range(64)])
-_COPY_B = np.array([(v >> 2 & 4) | (v >> 1 & 2) | (v & 1) for v in range(64)])
+_INTERLEAVED = np.unravel_index(np.arange(64), (2,) * 6)
+_COPY_A = np.ravel_multi_index(_INTERLEAVED[0::2], (2,) * 3)
+_COPY_B = np.ravel_multi_index(_INTERLEAVED[1::2], (2,) * 3)
 _GATHER_A = np.ix_(_COPY_A, _COPY_A)
 _GATHER_B = np.ix_(_COPY_B, _COPY_B)
 

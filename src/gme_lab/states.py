@@ -114,7 +114,9 @@ def ghz_vector(n_qubits: int) -> np.ndarray:
 
 
 def isotropic_p_range(n_qubits: int) -> tuple[float, float]:
-    """Admissible mixing-parameter range of the isotropic GHZ family."""
+    """Admissible mixing-parameter range of the isotropic GHZ family, N >= 2."""
+    if n_qubits < 2:
+        raise ValueError("need at least 2 qubits")
     # Integer true division is correctly rounded for any N; a float divisor
     # would overflow above N = 1024.
     return (-1 / (2 ** n_qubits - 1), 1.0)
@@ -149,12 +151,13 @@ def xform_to_dense(x: XFormState) -> DensityMatrix:
     """Dense 2^N-dimensional matrix of an X-form state (exact round trip)."""
     n = len(x.a)
     d = 2 * n
+    upper = np.arange(n)
+    lower = d - 1 - upper      # the anti-diagonal partner of each upper row
     mat = np.zeros((d, d), dtype=complex)
-    for k in range(n):
-        mat[k, k] = x.a[k]
-        mat[d - 1 - k, d - 1 - k] = x.b[k]
-        mat[k, d - 1 - k] = x.z[k]
-        mat[d - 1 - k, k] = np.conj(x.z[k])
+    mat[upper, upper] = x.a
+    mat[lower, lower] = x.b
+    mat[upper, lower] = x.z
+    mat[lower, upper] = np.conj(x.z)
     normalized = abs(x.trace - 1.0) <= TAU_TRACE
     # XFormState checked finiteness and block positivity, the PSD check of this matrix.
     return _unchecked(mat, (2,) * x.n_qubits, normalized=normalized, state=True)

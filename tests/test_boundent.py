@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gme_lab import states
+from gme_lab import boundent, states
 from gme_lab.boundent import (
     FLAG_DIM,
     NonPositiveParameterError,
@@ -25,8 +25,9 @@ from gme_lab.boundent import (
     witness_trace_wedge_dense,
     witness_w3,
 )
-from gme_lab.linalg import min_eigenvalue_hermitian, partial_transpose
-from gme_lab.states import ZeroProbabilityError, product_form_to_dense
+from gme_lab.linalg import DensityMatrix, min_eigenvalue_hermitian, partial_transpose
+from gme_lab.states import (ProductFormState, ProductTerm, ZeroProbabilityError,
+                            product_form_to_dense)
 
 
 # ------------------------------------------------------------- pair family
@@ -292,6 +293,41 @@ def test_source_state_is_not_expanded(monkeypatch):
     for expand in (product_form_to_dense, states._product_form_array):
         with pytest.raises(ValueError, match="262144 exceeds limit 4096"):
             expand(s)
+
+
+# Qutrit level l -> carrier level l+1 on each of two carriers, as an isometry.
+_EMBED = np.zeros((FLAG_DIM, 3), dtype=complex)
+_EMBED[1:, :] = np.eye(3)
+EMBED_V = np.kron(_EMBED, _EMBED)
+
+
+def _carriers(f: DensityMatrix) -> ProductFormState:
+    return ProductFormState((ProductTerm(1.0, (f,)),), f.dims)
+
+
+def test_carrier_embedding_equals_isometry_oracle_exactly():
+    rng = np.random.default_rng(48)
+    pairs = [qutrit_ppt_state(p) for p in (1e-300, 0.3, 1.0, 1e300)]
+    for scale in (1.0, 1e-300, 1e300):
+        for _ in range(5):
+            a = scale * (rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9)))
+            pairs.append(DensityMatrix(a + a.conj().T, (3, 3), normalized=False, state=False))
+    for pair in pairs:
+        embedded = boundent._embed_qutrit_pair(pair)
+        oracle = EMBED_V @ pair.mat @ EMBED_V.conj().T
+        assert embedded.dims == (FLAG_DIM, FLAG_DIM)
+        assert embedded.mat.tobytes() == oracle.tobytes()
+        back = boundent._restrict_carriers_to_qutrits(_carriers(embedded))
+        (factor,) = back.terms[0].factors
+        assert factor.dims == (3, 3) and factor.mat.tobytes() == pair.mat.tobytes()
+        assert (factor.normalized, factor.state) == (pair.normalized, pair.state)
+
+
+def test_carrier_restriction_rejects_flag_weight():
+    mat = np.diag([1e-9, 1.0, 0.0, 0.0]).astype(complex)
+    flagged = DensityMatrix(mat / mat.trace(), (FLAG_DIM,))
+    with pytest.raises(ValueError, match="weight on the flag direction"):
+        boundent._restrict_carriers_to_qutrits(_carriers(flagged))
 
 
 def test_source_validates_probabilities():

@@ -11,7 +11,7 @@ import os
 import numpy as np
 import pytest
 
-from gme_lab import boundent, cli, linalg, separability, states
+from gme_lab import boundent, cli, gme, linalg, separability, states
 from gme_lab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, fmt12, main
 
 
@@ -76,6 +76,29 @@ def test_thresholds_beyond_float_range(capsys, argv, n_rows):
     assert all(float(r[2]) == 0.5 for r in rows if r[1] == "1")
 
 
+def test_thresholds_refuses_a_huge_table_before_computing_a_row(capsys, monkeypatch):
+    def boom(*args, **kwargs):
+        raise AssertionError("row computed before the size check")
+
+    monkeypatch.setattr(gme, "k_copy_threshold", boom)
+    monkeypatch.setattr(gme, "partition_separability_threshold", boom)
+    # 9.9M rows would be held in memory (about 3 GB) for 30 s before any is written.
+    code, out, err = run(capsys, "thresholds", "--n", "2", "--n-max", "100",
+                         "--kmax", "100000")
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == (f"error: thresholds prints at most {cli.THRESHOLDS_MAX_ROWS} rows, "
+                   "got 9900099\n")
+
+
+def test_thresholds_row_cap_counts_every_row(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "THRESHOLDS_MAX_ROWS", 9)
+    code, out, _ = run(capsys, "thresholds", "--n", "3", "--n-max", "5", "--kmax", "2")
+    assert code == EXIT_OK and len(parse_csv(out)[1]) == 9
+    for argv in (("--n-max", "6", "--kmax", "2"), ("--n-max", "5", "--kmax", "3")):
+        code, out, err = run(capsys, "thresholds", "--n", "3", *argv)
+        assert (code, out) == (EXIT_CONFIG, "") and err.startswith("error: "), argv
+
+
 # -------------------------------------------------------------- concurrence
 
 def test_concurrence_shape(capsys):
@@ -102,7 +125,7 @@ def test_concurrence_rejects_fewer_than_two_qubits(capsys, n):
     code, out, err = run(capsys, "concurrence", "--n", n)
     assert code == EXIT_CONFIG
     assert out == ""
-    assert err.startswith("error: ")
+    assert err == "error: need at least 2 qubits\n"
 
 
 @pytest.mark.filterwarnings("error")

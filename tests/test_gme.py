@@ -162,6 +162,16 @@ def test_kinds_and_validation():
         single_copy_threshold(1)
 
 
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_isotropic_family_needs_two_qubits(n):
+    # Unchecked, N = 0 would divide by 2^N - 1 = 0 and N = 1 build a one-qubit state.
+    for call in (lambda: isotropic_p_range(n), lambda: isotropic_ghz(n, 0.5),
+                 lambda: gm_concurrence_isotropic(n, 0.5),
+                 lambda: gm_concurrence_isotropic(n, math.nan)):
+        with pytest.raises(ValueError, match="^need at least 2 qubits$"):
+            call()
+
+
 # ------------------------------------------------------- Schur-product map
 
 def test_hadamard_map_fixed_point_identity():

@@ -98,6 +98,18 @@ def test_non_rectangle_rejected():
         EmbeddingSpec(1, 2, 3, 4)  # all variation within one block
 
 
+@pytest.mark.parametrize("labels, message", [
+    ((0, 2, 21, 22), "must lie in 1..64"),
+    ((1, 1, 21, 22), "are not distinct"),
+    ((1, 2, 4, 5), "do not span a rectangle"),            # m1->m2 and m1->m3 share bit 6
+    ((1, 2, 21, 23), "label m4=23 breaks the rectangle"),  # the corner is 22
+    ((1, 2, 3, 4), "does not respect any allowed bipartition"),
+])
+def test_each_rectangle_condition_has_its_error(labels, message):
+    with pytest.raises(RectangleViolationError, match=message):
+        EmbeddingSpec(*labels)
+
+
 def test_repaired_tuple_valid():
     spec = EmbeddingSpec(*GAMMA1_REPAIRED_TUPLE)
     assert set(spec.bipartition) == {frozenset({0, 1, 2, 3}), frozenset({4, 5})}
