@@ -8,6 +8,7 @@ configuration, 3 numerical-contract violation.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -18,9 +19,8 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import boundent, gme, separability
-from .linalg import write_density_matrix_json
-from .states import (_product_form_array, isotropic_ghz, product_form_to_dense,
-                     xform_pt_spectrum)
+from .linalg import write_entries_json
+from .states import isotropic_ghz, product_form_entries, xform_pt_spectrum
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -105,10 +105,19 @@ def _json_text(payload) -> str:
     return json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
+def _open_output(path: str) -> io.TextIOWrapper:
+    """Open an output file for writing; a path that cannot be opened is a
+    configuration error (exit 2), not a traceback."""
+    try:
+        return open(path, "w")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _write(text: str, config: RunConfig) -> None:
     """The one output path: write to ``--out`` if given, else to stdout."""
     if config.output_path:
-        with open(config.output_path, "w") as fh:
+        with _open_output(config.output_path) as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -271,11 +280,17 @@ def cmd_locc_demo(config: RunConfig, args: argparse.Namespace) -> int:
     p1, p2, p3, x, y, z = args.p1, args.p2, args.p3, args.x, args.y, args.z
     source = boundent.biseparable_source_state(p1, p2, p3, x, y, z)
     result = boundent.simulate_locc_triangle((source, source, source))
-    # The produced state is expanded once, for the residual and the dump;
-    # both expansions' factors were validated when they were built.
-    produced = product_form_to_dense(result.state)
-    expected = _product_form_array(boundent.triangle_state(x, y, z))
-    residual = float(abs(produced.mat - expected).max())
+    # The residual and the dump read only the nonzero entries of the two
+    # product forms, whose factors were validated when they were built.
+    indices, values = product_form_entries(result.state)
+    want_indices, want_values = product_form_entries(boundent.triangle_state(x, y, z))
+    # abs(produced - expected).max() of the dense expansions, taken over the
+    # union of the supports, outside which both are +0.0.
+    support = np.union1d(indices, want_indices)
+    diff = np.zeros(support.size, dtype=complex)
+    diff[np.searchsorted(support, indices)] = values
+    diff[np.searchsorted(support, want_indices)] -= want_values
+    residual = float(np.abs(diff).max(initial=0.0))
     closed = boundent.witness_trace_triangle(x, y, z)
     dense = boundent.witness_trace_triangle_dense(x, y, z)
     detected = closed < 0
@@ -292,11 +307,13 @@ def cmd_locc_demo(config: RunConfig, args: argparse.Namespace) -> int:
             f"GME activated: witness = {fmt12(closed)} < 0" if detected
             else f"not detected: witness = {fmt12(closed)} >= 0"),
     }
-    _write(_json_text(report), config)
-    if args.dump_state:
-        with open(args.dump_state, "w") as fh:
-            write_density_matrix_json(produced, fh)
-            fh.write("\n")
+    # Opened before the report is written, so an unwritable path prints nothing.
+    with (_open_output(args.dump_state) if args.dump_state
+          else contextlib.nullcontext()) as dump:
+        _write(_json_text(report), config)
+        if dump is not None:
+            write_entries_json(result.state.global_dims, indices, values, dump)
+            dump.write("\n")
     if not residual <= config.tolerance:
         print(f"protocol residual {residual:.3e} violates tolerance "
               f"{config.tolerance:.3e}", file=sys.stderr)

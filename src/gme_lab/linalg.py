@@ -218,36 +218,59 @@ def density_matrix_to_json(dm: DensityMatrix) -> dict:
     }
 
 
-def write_density_matrix_json(dm: DensityMatrix, fh: TextIO) -> None:
-    """Write the bytes of ``json.dump(density_matrix_to_json(dm), fh)``.
+def write_entries_json(dims: Sequence[int], indices: np.ndarray, values: np.ndarray,
+                       fh: TextIO) -> None:
+    """Write the bytes of ``json.dump(density_matrix_to_json(dm), fh)`` for the
+    operator ``dm`` on ``dims`` whose entries at the ascending, distinct
+    row-major flat ``indices`` are the complex ``values`` and whose other
+    entries are +0.0.
 
-    Only the entries whose bits are not those of +0.0 are formatted (so -0.0,
-    NaN and inf are), all of a part in one ``json.dumps`` call, whose C
-    encoder is far faster than the pure-Python one ``json.dump`` uses.  Each
-    row is then written with its gaps filled by ``"0.0, "``, and no list of
-    the whole matrix is ever held.
+    Of each part only the given entries whose bits are not those of +0.0 are
+    formatted (so -0.0, NaN and inf are), all in one ``json.dumps`` call,
+    whose C encoder is far faster than the pure-Python one ``json.dump``
+    uses.  Each row is the all-zero row text, built once, with those entries
+    spliced in; a row without any is written as that text.  No list of the
+    whole matrix is ever held.
     """
-    n = dm.dim
-    fh.write('{"dims": ' + json.dumps(list(dm.dims)))
-    for key, part in (("re", dm.mat.real), ("im", dm.mat.imag)):
-        rows, cols = np.nonzero(part.view(np.uint64))
+    dims = [int(d) for d in dims]
+    n = math.prod(dims)
+    zero_row = "[" + ", ".join(["0.0"] * n) + "]"    # entry c starts at 1 + 5c
+    fh.write('{"dims": ' + json.dumps(dims))
+    for key, part in (("re", values.real), ("im", values.imag)):
+        keep = part.view(np.uint64) != 0
+        rows, cols = np.divmod(indices[keep], n)
         # Float reprs contain no ", ", so splitting recovers one text per entry.
-        texts = json.dumps(part[rows, cols].tolist())[1:-1].split(", ")
+        texts = json.dumps(part[keep].tolist())[1:-1].split(", ")
         ends = np.cumsum(np.bincount(rows, minlength=n)).tolist()
         cols = cols.tolist()
         fh.write(f', "{key}": [')
         start = 0
         for i, end in enumerate(ends):
+            if i:
+                fh.write(", ")
+            if start == end:
+                fh.write(zero_row)
+                continue
             pieces = []
             prev = 0
             for j in range(start, end):
-                pieces.append("0.0, " * (cols[j] - prev) + texts[j] + ", ")
-                prev = cols[j] + 1
-            pieces.append("0.0, " * (n - prev))
-            fh.write((", [" if i else "[") + "".join(pieces)[:-2] + "]")
+                at = 1 + 5 * cols[j]
+                pieces += (zero_row[prev:at], texts[j])
+                prev = at + 3
+            pieces.append(zero_row[prev:])
+            fh.write("".join(pieces))
             start = end
         fh.write("]")
     fh.write("}")
+
+
+def write_density_matrix_json(dm: DensityMatrix, fh: TextIO) -> None:
+    """Write the bytes of ``json.dump(density_matrix_to_json(dm), fh)``: the
+    entries whose real or imaginary bits are not those of +0.0 go through
+    :func:`write_entries_json`."""
+    flat = dm.mat.reshape(-1)
+    indices = np.flatnonzero(flat.real.view(np.uint64) | flat.imag.view(np.uint64))
+    write_entries_json(dm.dims, indices, flat[indices], fh)
 
 
 def density_matrix_from_json(obj: dict, normalized: bool = True,

@@ -53,6 +53,7 @@ __all__ = [
     "product_form_project",
     "product_form_partial_trace",
     "product_form_to_dense",
+    "product_form_entries",
     "product_form_submatrix",
     "product_form_to_json",
     "product_form_from_json",
@@ -374,12 +375,12 @@ def product_form_partial_trace(s: ProductFormState,
     return ProductFormState(tuple(new_terms), gd, normalized=s.normalized)
 
 
-def _product_form_array(s: ProductFormState) -> np.ndarray:
-    """The array sum_t w_t (f_1 x f_2 x ...), unchecked; refused above
+def product_form_to_dense(s: ProductFormState) -> DensityMatrix:
+    """Dense expansion sum_t w_t (f_1 x f_2 x ...); refused above
     ``DENSE_DIM_LIMIT`` before anything is allocated.
 
-    Every factor already passed ``DensityMatrix``, so a caller that only
-    compares the expansion against another needs no second validation.
+    ``normalized`` holds when the state's weights sum to 1 and every factor
+    is normalized.
     """
     d = int(np.prod(s.global_dims, dtype=np.int64))
     if d > DENSE_DIM_LIMIT:
@@ -390,20 +391,48 @@ def _product_form_array(s: ProductFormState) -> np.ndarray:
         for f in term.factors:
             block = np.kron(block, f.mat)
         out += block
-    return out
-
-
-def product_form_to_dense(s: ProductFormState) -> DensityMatrix:
-    """Dense expansion sum_t w_t (f_1 x f_2 x ...); refused above
-    ``DENSE_DIM_LIMIT``.
-
-    ``normalized`` holds when the state's weights sum to 1 and every factor
-    is normalized.
-    """
     normalized = s.normalized and all(f.normalized for t in s.terms for f in t.factors)
     # Every factor was checked Hermitian, and ProductFormState checked the weights.
-    return _unchecked(_product_form_array(s), s.global_dims,
-                      normalized=normalized, state=False)
+    return _unchecked(out, s.global_dims, normalized=normalized, state=False)
+
+
+def product_form_entries(s: ProductFormState) -> tuple[np.ndarray, np.ndarray]:
+    """The entries of the dense expansion whose bits are not those of +0.0:
+    their ascending row-major flat indices into the ``d x d`` matrix, and
+    their complex values.  Nothing of the full dimension is built.
+
+    Each term contributes the Cartesian product of its factors' nonzero
+    entries, multiplied as :func:`product_form_to_dense` multiplies them
+    (weight first, then factors left to right), and the terms are summed in
+    order into +0.0, which folds a -0.0 to +0.0 as the expansion's sum does.
+    The values are bit-identical to the expansion's provided no partial
+    product overflows: a skipped zero factor entry then stands for signed
+    zeros only, never for the NaN of inf * 0.  Normalized states satisfy
+    this, since their entries have modulus at most 1.
+    """
+    d = math.prod(s.global_dims)
+    if d * d > np.iinfo(np.int64).max:
+        raise ValueError(f"dense dimension {d} has more entries than int64 can index")
+    flats, products = [], []
+    for term in s.terms:
+        rows = cols = np.zeros(1, dtype=np.int64)
+        vals = np.array([term.weight], dtype=complex)
+        for f in term.factors:
+            entries = f.mat.reshape(-1)
+            nonzero = np.flatnonzero(entries)
+            r, c = np.divmod(nonzero, f.dim)
+            rows = (rows[:, None] * f.dim + r).reshape(-1)
+            cols = (cols[:, None] * f.dim + c).reshape(-1)
+            vals = (vals[:, None] * entries[nonzero]).reshape(-1)
+        flats.append(rows * d + cols)
+        products.append(vals)
+    indices = np.unique(np.concatenate(flats))
+    values = np.zeros(indices.size, dtype=complex)
+    for flat, vals in zip(flats, products):
+        # A term's flat indices are distinct, so each adds once to an entry.
+        values[np.searchsorted(indices, flat)] += vals
+    keep = values.view(np.uint64).reshape(-1, 2).any(axis=1)
+    return indices[keep], values[keep]
 
 
 def product_form_submatrix(s: ProductFormState, rows) -> np.ndarray:

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -348,18 +349,23 @@ def test_locc_demo_dump_state_equals_json_dump(tmp_path, capsys):
     assert out_path.read_text() == oracle.getvalue()
 
 
-def test_locc_demo_expands_the_state_once(capsys, monkeypatch):
-    """One dense expansion per run, shared by the residual and the dump, and
-    no 729-dimensional check: the expansion's factors were checked.  Once
-    the constant carrier states are cached, a run needs no eigvalsh."""
-    expansions, checked, eigvalsh_calls = [], [], []
-    to_dense = cli.product_form_to_dense
+def test_locc_demo_builds_no_dense_state(capsys, monkeypatch):
+    """The residual and the dump read the product forms' nonzero entries: once
+    the constant carrier states are cached, a run expands no product form,
+    builds and checks no 729-dimensional operator, runs no eigvalsh and
+    never holds an array of 729 x 729 floats."""
+    kron_shapes, checked, eigvalsh_calls = [], [], []
+    kron = np.kron
     post_init = linalg.DensityMatrix.__post_init__
     eigvalsh = np.linalg.eigvalsh
 
-    def counting_to_dense(s, *args, **kwargs):
-        expansions.append(s.global_dims)
-        return to_dense(s, *args, **kwargs)
+    def expand(*args, **kwargs):
+        raise AssertionError("locc-demo expanded a product form")
+
+    def recording_kron(a, b):
+        out = kron(a, b)
+        kron_shapes.append(out.shape)
+        return out
 
     def counting_post_init(self):
         post_init(self)
@@ -370,38 +376,98 @@ def test_locc_demo_expands_the_state_once(capsys, monkeypatch):
         return eigvalsh(a, *args, **kwargs)
 
     assert run(capsys, "locc-demo")[0] == EXIT_OK     # warm the caches
-    monkeypatch.setattr(cli, "product_form_to_dense", counting_to_dense)
+    monkeypatch.setattr(states, "product_form_to_dense", expand)
+    monkeypatch.setattr(np, "kron", recording_kron)
     monkeypatch.setattr(linalg.DensityMatrix, "__post_init__", counting_post_init)
     monkeypatch.setattr(np.linalg, "eigvalsh", counting_eigvalsh)
     for argv in ((), ("--x", "0.7", "--y", "1.3", "--z", "0.4")):
-        expansions.clear()
+        kron_shapes.clear()
         checked.clear()
-        code, _, _ = run(capsys, "locc-demo", "--dump-state", os.devnull, *argv)
+        tracemalloc.start()
+        try:
+            code, _, _ = run(capsys, "locc-demo", "--dump-state", os.devnull, *argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
         assert code == EXIT_OK
-        assert expansions == [(3,) * 6]
+        assert all(729 not in shape for shape in kron_shapes)
         assert 729 not in checked
         assert eigvalsh_calls == []
+        # One 729 x 729 float64 array alone takes 4.25 MB.
+        assert peak < 729 * 729 * 8 // 2
 
 
-def test_locc_residual_oracle_is_the_validated_dense_state(capsys, monkeypatch):
-    """The residual's oracle skips ``DensityMatrix``; its bytes must still be
-    those of the validated dense expansion of ``triangle_state``."""
-    oracles = []
+def _dense_residual(probs, x, y, z):
+    source = boundent.biseparable_source_state(*probs, x, y, z)
+    produced = boundent.simulate_locc_triangle((source, source, source)).state
+    expected = boundent.triangle_state(x, y, z)
+    return float(abs(states.product_form_to_dense(produced).mat
+                     - states.product_form_to_dense(expected).mat).max())
 
-    def recording(s, *args, **kwargs):
-        out = states._product_form_array(s, *args, **kwargs)
-        oracles.append(out.copy())
-        return out
 
-    monkeypatch.setattr(cli, "_product_form_array", recording)
-    params = [(1.0, 0.3, 0.3), (0.7, 1.3, 0.4), (2.0, 0.2, 1.1), (0.25, 0.5, 1.9)]
-    for x, y, z in params:
-        code, _, _ = run(capsys, "locc-demo", "--x", repr(x), "--y", repr(y),
-                         "--z", repr(z))
-        assert code == EXIT_OK
-        want = states.product_form_to_dense(boundent.triangle_state(x, y, z)).mat
-        assert oracles[-1].tobytes() == want.tobytes()
-    assert len(oracles) == len(params)
+def _assert_reported_residual_is(capsys, argv, want):
+    """The run passes at ``--tol`` equal to ``want`` and fails at the next
+    float below it, so the residual it computed is ``want`` bit for bit."""
+    code, out, _ = run(capsys, *argv, "--tol", repr(want))
+    assert code == EXIT_OK
+    assert json.loads(out)["residual_max"] == cli.round12(want)
+    if want > 0:
+        below = np.nextafter(want, 0.0)
+        code, _, err = run(capsys, *argv, "--tol", repr(float(below)))
+        assert code == EXIT_NUMERICAL
+        assert err.startswith(f"protocol residual {want:.3e} violates")
+
+
+def test_locc_residual_equals_the_dense_residual(capsys):
+    """The reported residual is ``abs(dense(produced) - dense(triangle_state))
+    .max()`` bit for bit."""
+    rng = np.random.default_rng(9)
+    cases = [((1 / 3,) * 3, params) for params in
+             [(1.0, 0.3, 0.3), (0.7, 1.3, 0.4), (2.0, 0.2, 1.1), (0.25, 0.5, 1.9)]]
+    for _ in range(6):      # drawn as the benchmark draws them
+        p1, p2 = rng.uniform(0.15, 0.45, 2)
+        cases.append(((p1, p2, 1 - p1 - p2), tuple(rng.uniform(0.2, 2.0, 3))))
+    wants = []
+    for probs, params in cases:
+        wants.append(_dense_residual(probs, *params))
+        argv = ["locc-demo"]
+        for name, value in zip(("p1", "p2", "p3", "x", "y", "z"), probs + params):
+            argv += [f"--{name}", repr(float(value))]
+        _assert_reported_residual_is(capsys, argv, wants[-1])
+    assert sum(w > 0 for w in wants) >= 6
+
+
+@pytest.mark.parametrize("entry, value", [((0, 4), math.nan), ((0, 1), 1e-3),
+                                          ((0, 4), 0.0)],
+                         ids=["nan", "entry-only-expected-has", "entry-only-produced-has"])
+def test_locc_residual_covers_both_supports(capsys, monkeypatch, entry, value):
+    """A reference ``triangle_state`` with a NaN, with an entry the produced
+    state lacks, or without one it has: the residual is still the dense one."""
+    triangle_state = boundent.triangle_state
+
+    def perturbed(x, y, z):
+        s = triangle_state(x, y, z)
+        first, *rest = s.terms[0].factors
+        mat = first.mat.copy()
+        mat[entry] = mat[entry[::-1]] = value
+        changed = linalg.DensityMatrix(mat, first.dims, normalized=False, state=False)
+        return states.ProductFormState((states.ProductTerm(1.0, (changed, *rest)),),
+                                       s.global_dims)
+
+    monkeypatch.setattr(boundent, "triangle_state", perturbed)
+    # The dense witness reads triangle_state too; its check is not under test.
+    monkeypatch.setattr(boundent, "witness_trace_triangle_dense",
+                        boundent.witness_trace_triangle)
+    want = _dense_residual((1 / 3,) * 3, 1.0, 0.3, 0.3)
+    if not math.isnan(value):
+        assert want > 1e-6
+        _assert_reported_residual_is(capsys, ["locc-demo"], want)
+        return
+    assert math.isnan(want)
+    code, out, err = run(capsys, "locc-demo")
+    assert code == EXIT_NUMERICAL
+    assert json.loads(out)["residual_max"] is None
+    assert err.startswith("protocol residual nan violates")
 
 
 # Parameters whose product x y overflows a float.
@@ -571,6 +637,34 @@ def test_output_file(tmp_path, capsys):
     header, rows = parse_csv(path.read_text())
     assert header == ["N", "k", "p_threshold", "kind"]
     assert len(rows) == 3
+
+
+QUICK_ARGVS = [("thresholds", "--kmax", "2"), ("concurrence", "--p-steps", "3"),
+               ("verify-decomposition", "--p-steps", "2"),
+               ("ppt-scan", "--n", "4", "--p-steps", "2"), ("witness-scan", "--p-steps", "2"),
+               ("locc-demo",)]
+
+
+def test_every_subcommand_is_covered_by_the_output_path_tests():
+    subcommands = next(a for a in cli._PARSER._actions
+                       if isinstance(a, argparse._SubParsersAction)).choices
+    assert sorted(argv[0] for argv in QUICK_ARGVS) == sorted(subcommands)
+
+
+@pytest.mark.parametrize("argv", QUICK_ARGVS, ids=lambda argv: argv[0])
+def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
+    path = tmp_path / "missing" / "out.txt"
+    code, out, err = run(capsys, *argv, "--out", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+    assert not path.parent.exists()
+
+
+def test_dump_state_at_a_directory_exits_2_before_the_report(tmp_path, capsys):
+    code, out, err = run(capsys, "locc-demo", "--dump-state", str(tmp_path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err == f"error: cannot write {tmp_path}: Is a directory\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_thread_cap_does_not_change_output(capsys, monkeypatch):

@@ -5,7 +5,8 @@ warning; exit 0 prints no non-finite number, exit 2 prints nothing on
 stdout and one ``error:`` line (or argparse usage) on stderr, and exit 3
 prints one message line on stderr and, where stdout is JSON, valid JSON.
 Arguments are drawn from a pool of edge values (NaN, infinities, signed
-zeros, subnormals, values near the float limit) mixed with ordinary numbers.
+zeros, subnormals, values near the float limit) mixed with ordinary numbers,
+and output paths from a pool of paths that cannot be opened for writing.
 The search is derandomized and keeps no example database, so runs are
 repeatable; the explicit examples reproduce fixed defects and are kept as
 regressions.
@@ -24,6 +25,8 @@ from gme_lab.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, main
 
 EDGE = ("nan", "inf", "-inf", "0", "-0.0", "5e-324", "1e-310", "1e308", "-1e308",
         "1e200", "1e-200")
+# A file in a missing directory, and a directory: opening either fails.
+UNWRITABLE = st.sampled_from(["missing-dir/out.txt", "."])
 NON_FINITE = re.compile(r"(?i)\b(nan|inf|infinity)\b")
 
 
@@ -47,7 +50,7 @@ def options(**strategies):
 
 
 GRID = dict(p_start=numbers(), p_stop=numbers(), p_steps=st.integers(-1, 5),
-            format=st.sampled_from(["csv", "json"]))
+            format=st.sampled_from(["csv", "json"]), out=UNWRITABLE)
 
 
 def reject_constant(name):
@@ -82,7 +85,7 @@ def check(argv):
 @example(n=1100, extra=None, rest=[])
 @example(n=1029, extra=3, rest=["--kmax=30"])
 @given(n=st.integers(-2, 3000), extra=st.none() | st.integers(-1, 2),
-       rest=options(kmax=st.integers(-1, 64), format=GRID["format"]))
+       rest=options(kmax=st.integers(-1, 64), format=GRID["format"], out=UNWRITABLE))
 def test_thresholds(n, extra, rest):
     argv = ["thresholds", f"--n={n}"] + rest
     if extra is not None:
@@ -101,7 +104,7 @@ def test_concurrence(rest):
 @fuzz(40)
 @given(steps=st.integers(-1, 5), rest=options(
     n=st.integers(2, 4), tol=numbers(), p_start=GRID["p_start"], p_stop=GRID["p_stop"],
-    format=GRID["format"]))
+    format=GRID["format"], out=UNWRITABLE))
 def test_verify_decomposition(steps, rest):
     # Always set the step count: the default grid has 61 points.
     check(["verify-decomposition", f"--p-steps={steps}"] + rest)
@@ -128,8 +131,10 @@ def test_witness_scan(rest):
 @fuzz(40)
 @example(probs=None, rest=["--z=1e-310"])
 @example(probs=None, rest=["--x=1e200", "--y=1e200", "--z=1e200"])
+@example(probs=None, rest=["--dump-state=."])
 @given(probs=st.none() | st.tuples(numbers(0, 1), numbers(0, 1), numbers(0, 1)),
-       rest=options(x=numbers(), y=numbers(), z=numbers(), tol=numbers()))
+       rest=options(x=numbers(), y=numbers(), z=numbers(), tol=numbers(),
+                    out=UNWRITABLE, dump_state=UNWRITABLE))
 def test_locc_demo(probs, rest):
     # Probabilities are drawn together: one bad value among them masks the rest.
     argv = ["locc-demo"] + rest

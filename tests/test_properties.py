@@ -2,21 +2,40 @@
 
 Partial transposes and subsystem permutations only move entries, the X-form
 expansion only places them (checked against an entry-by-entry loop), and ``product_form_submatrix`` forms the same
-products as the dense expansion, so every property below holds bit for bit.
+products as the dense expansion, as do ``product_form_entries`` and the
+JSON writer fed with them, so these properties hold bit for bit.
 Operators are drawn from a seed and a scale (down to 1e-300, up to 1e300)
-over one to three qubit or qutrit subsystems.  The search is derandomized
-and keeps no example database, so runs are repeatable.
+over one to three qubit or qutrit subsystems.  The witness closed forms are
+another formula than their dense gathers, and agree with them to 1e-13 over
+log-uniform parameters in [1e-4, 1e4].  The search is derandomized and keeps
+no example database, so runs are repeatable.
 """
+
+import io
+import json
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from gme_lab.linalg import DensityMatrix, partial_transpose, permute_subsystems
+from gme_lab.boundent import (
+    witness_trace_triangle,
+    witness_trace_triangle_dense,
+    witness_trace_wedge,
+    witness_trace_wedge_dense,
+)
+from gme_lab.linalg import (
+    DensityMatrix,
+    density_matrix_to_json,
+    partial_transpose,
+    permute_subsystems,
+    write_entries_json,
+)
 from gme_lab.states import (
     ProductFormState,
     ProductTerm,
     XFormState,
+    product_form_entries,
     product_form_project,
     product_form_submatrix,
     product_form_to_dense,
@@ -111,3 +130,67 @@ def test_submatrix_of_a_projected_state_equals_its_dense_rows(dims, seed, data):
     dense = product_form_to_dense(projected).mat
     assert product_form_submatrix(projected, rows).tobytes() == \
         dense[np.ix_(rows, rows)].tobytes()
+
+
+@st.composite
+def product_forms(draw):
+    """A product form of normalized states over one to four qubits or qutrits.
+    Each term groups adjacent subsystems into factors its own way, and each
+    factor has rows and columns of exact zeros, some signed -0.0, and is
+    sometimes real with every imaginary part -0.0."""
+    dims = draw(st.lists(st.integers(2, 3), min_size=1, max_size=4).map(tuple))
+    rng = np.random.default_rng(draw(SEEDS))
+    n_terms = draw(st.integers(1, 3))
+    weights = rng.random(n_terms) + 0.1
+    terms = []
+    for w in weights / weights.sum():
+        cuts = sorted(draw(st.sets(st.integers(1, len(dims) - 1))) if len(dims) > 1
+                      else set())
+        bounds = [0, *cuts, len(dims)]
+        factors = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            d = int(np.prod(dims[lo:hi]))
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            a[rng.random(d) < 0.4] = 0      # zero rows of a: zero rows of rho
+            a[rng.integers(d)] += 1
+            rho = a @ a.conj().T
+            rho /= np.trace(rho).real
+            if draw(st.booleans()):
+                rho = rho.real + 0j
+                rho.imag = -0.0
+            zero = rho == 0
+            signs = rng.choice([-0.0, 0.0], size=(2, int(zero.sum())))
+            rho[zero] = signs[0] + 1j * signs[1]
+            factors.append(DensityMatrix(rho, dims[lo:hi]))
+        terms.append(ProductTerm(w, tuple(factors)))
+    return ProductFormState(tuple(terms), dims)
+
+
+@PROPERTY
+@given(s=product_forms())
+def test_product_form_entries_are_the_nonzero_entries_of_its_expansion(s):
+    indices, values = product_form_entries(s)
+    dense = product_form_to_dense(s).mat.reshape(-1)
+    want = np.flatnonzero(dense.view(np.uint64).reshape(-1, 2).any(axis=1))
+    assert indices.tobytes() == want.astype(np.int64).tobytes()
+    assert values.tobytes() == dense[want].tobytes()
+
+
+@PROPERTY
+@given(s=product_forms())
+def test_entries_fed_writer_equals_json_dump_of_the_expansion(s):
+    oracle, streamed = io.StringIO(), io.StringIO()
+    json.dump(density_matrix_to_json(product_form_to_dense(s)), oracle)
+    write_entries_json(s.global_dims, *product_form_entries(s), streamed)
+    assert streamed.getvalue() == oracle.getvalue()
+
+
+LOG_UNIFORM = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)
+
+
+@PROPERTY
+@given(x=LOG_UNIFORM, y=LOG_UNIFORM, z=LOG_UNIFORM)
+def test_witness_closed_forms_agree_with_their_dense_gathers(x, y, z):
+    assert abs(witness_trace_triangle(x, y, z) - witness_trace_triangle_dense(x, y, z)) \
+        <= 1e-13
+    assert abs(witness_trace_wedge(x, y) - witness_trace_wedge_dense(x, y)) <= 1e-13

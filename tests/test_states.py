@@ -16,6 +16,7 @@ from gme_lab.states import (
     ghz_vector,
     isotropic_ghz,
     isotropic_p_range,
+    product_form_entries,
     product_form_from_json,
     product_form_partial_trace,
     product_form_project,
@@ -410,6 +411,30 @@ def test_product_dense_guard():
         (ProductTerm(1.0, tuple(qutrit_mixed() for _ in range(9))),), (3,) * 9)
     with pytest.raises(ValueError):
         product_form_to_dense(big)
+
+
+def test_product_entries_need_no_dense_expansion_but_int64_indices():
+    nine = ProductFormState(
+        (ProductTerm(1.0, tuple(qutrit_mixed() for _ in range(9))),), (3,) * 9)
+    indices, values = product_form_entries(nine)     # beyond the dense guard
+    d = 3 ** 9
+    assert indices.tolist() == list(range(0, d * d, d + 1))
+    assert np.allclose(values, 1 / d, rtol=1e-14, atol=0)
+    one = DensityMatrix(np.diag([0.0, 1.0]), (2,))
+    wide = ProductFormState((ProductTerm(1.0, (one,) * 32),), (2,) * 32)
+    with pytest.raises(ValueError, match="more entries than int64 can index"):
+        product_form_entries(wide)     # its one entry has flat index 2^64 - 1
+
+
+def test_product_entries_drop_entries_that_cancel():
+    """|+><+| and |-><-| in equal weight: the coherences sum to +0.0, as in
+    the expansion, and are not entries."""
+    plus = DensityMatrix(np.full((2, 2), 0.5), (2,))
+    minus = DensityMatrix(np.array([[0.5, -0.5], [-0.5, 0.5]]), (2,))
+    s = ProductFormState((ProductTerm(0.5, (plus,)), ProductTerm(0.5, (minus,))), (2,))
+    indices, values = product_form_entries(s)
+    assert indices.tolist() == [0, 3] and values.tolist() == [0.5, 0.5]
+    assert product_form_to_dense(s).mat[0, 1].real.hex() == (0.0).hex()
 
 
 def test_product_dense_is_normalized_only_when_every_factor_is():
