@@ -14,7 +14,6 @@ from .linalg import (
     TAU_TRACE,
     density_matrix_from_json,
     density_matrix_to_json,
-    hadamard,
     min_eigenvalue_hermitian,
     partial_trace,
     partial_transpose,
@@ -22,7 +21,6 @@ from .linalg import (
     tensor,
 )
 from .states import (
-    NotXFormError,
     Partition,
     ProductFormState,
     ProductTerm,
@@ -35,8 +33,6 @@ from .states import (
     product_form_project,
     product_form_tensor,
     product_form_to_dense,
-    pure_state_dm,
-    xform_from_dense,
     xform_pt_spectrum,
     xform_to_dense,
 )
@@ -47,7 +43,6 @@ from .gme import (
     activation_classification,
     gm_concurrence_isotropic,
     gm_concurrence_xform,
-    hadamard_map,
     iterated_hadamard,
     k_copy_threshold,
     partition_separability_threshold,
@@ -65,7 +60,6 @@ from .separability import (
     gamma_base,
     gamma_big_1,
     gamma_big_2,
-    ppt_crit,
     pt_min_eig_isotropic,
     rho_diag_closed_form,
     search_gamma1_correction,
@@ -77,8 +71,6 @@ from .boundent import (
     LoccTriangleResult,
     NonPositiveParameterError,
     biseparable_source_state,
-    project_triangle_to_D,
-    project_wedge_to_D,
     qutrit_ppt_state,
     simulate_locc_triangle,
     triangle_state,

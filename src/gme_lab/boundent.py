@@ -39,7 +39,6 @@ from .linalg import DensityMatrix, _unchecked, permute_subsystems, tensor
 from .states import (
     ProductFormState,
     ProductTerm,
-    ZeroProbabilityError,
     product_form_partial_trace,
     product_form_project,
     product_form_submatrix,
@@ -53,12 +52,10 @@ __all__ = [
     "triangle_state",
     "TRIANGLE_SUBSYSTEMS",
     "TRIANGLE_PARTY_SUBSYSTEMS",
-    "project_triangle_to_D",
     "witness_w3",
     "witness_trace_triangle",
     "witness_trace_triangle_dense",
     "wedge_state",
-    "project_wedge_to_D",
     "witness_trace_wedge",
     "witness_trace_wedge_dense",
     "FLAG_DIM",
@@ -134,26 +131,6 @@ _I, _J, _K = np.unravel_index(np.arange(27), (3, 3, 3))
 _TRIANGLE_ROWS = np.ravel_multi_index((_J, _K, _I, _K, _I, _J), (3,) * 6)
 
 
-def _normalized_projection(reduced: np.ndarray) -> tuple[DensityMatrix, float]:
-    prob = float(np.trace(reduced).real)
-    if prob <= 1e-14:
-        raise ZeroProbabilityError("projection annihilates the state")
-    return DensityMatrix(reduced / prob, (3, 3, 3)), prob
-
-
-def project_triangle_to_D(s: ProductFormState) -> tuple[DensityMatrix, float]:
-    """Project a six-qutrit triangle state onto the twin-diagonal subspace.
-
-    Returns the renormalized three-qutrit state on the subspace basis
-    |ii>|jj>|kk> -> |i>|j>|k| together with the projection probability.
-    The closed-form witness values refer to the unnormalized projection,
-    i.e. to probability times the witness trace of the returned state.
-    """
-    if s.global_dims != (3,) * 6:
-        raise ValueError("expected a six-qutrit state")
-    return _normalized_projection(product_form_submatrix(s, _TRIANGLE_ROWS))
-
-
 _W3_DIAGONAL = (
     (0, 0, 0), (0, 0, 1), (0, 1, 1), (0, 2, 0), (1, 0, 1), (1, 1, 1),
     (1, 1, 2), (1, 2, 2), (2, 0, 0), (2, 1, 2), (2, 2, 0), (2, 2, 2),
@@ -209,14 +186,6 @@ def wedge_state(x: float, y: float) -> ProductFormState:
 # Dense-expansion index of |i>_{B1} |j>_{A2} |kk>_{A3 B3}, listed in the
 # subspace order |i>|j>|k>: (A2, A3, B1, B3) = (j, k, i, k).
 _WEDGE_ROWS = np.ravel_multi_index((_J, _K, _I, _K), (3,) * 4)
-
-
-def project_wedge_to_D(s: ProductFormState) -> tuple[DensityMatrix, float]:
-    """Project a wedge state onto |i>|j>|kk>; parties 1 and 2 keep their
-    single qutrits, party 3 is projected onto its twin-diagonal subspace."""
-    if s.global_dims != (3,) * 4:
-        raise ValueError("expected a four-qutrit state")
-    return _normalized_projection(product_form_submatrix(s, _WEDGE_ROWS))
 
 
 def witness_trace_wedge(x: float, y: float) -> float:

@@ -15,6 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass, fields
+from typing import TextIO
 
 import numpy as np
 
@@ -84,7 +85,7 @@ class RunConfig:
         return [self.p_start + i * step for i in range(self.p_steps)]
 
 
-def _emit(rows: list[dict], columns: list[str], config: RunConfig) -> None:
+def _emit(rows: list[dict], columns: list[str], config: RunConfig, out: TextIO) -> None:
     """Write rows as CSV (fixed column order) or JSON, deterministically."""
     if config.output_format == "csv":
         buf = io.StringIO()
@@ -96,7 +97,7 @@ def _emit(rows: list[dict], columns: list[str], config: RunConfig) -> None:
     else:
         payload = [{c: _jsonval(row.get(c)) for c in columns} for row in rows]
         text = _json_text(payload)
-    _write(text, config)
+    out.write(text)
 
 
 def _json_text(payload) -> str:
@@ -112,15 +113,6 @@ def _open_output(path: str) -> io.TextIOWrapper:
         return open(path, "w")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
-
-
-def _write(text: str, config: RunConfig) -> None:
-    """The one output path: write to ``--out`` if given, else to stdout."""
-    if config.output_path:
-        with _open_output(config.output_path) as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
 
 
 def _worst(values) -> float:
@@ -145,7 +137,7 @@ def _jsonval(v):
     return v
 
 
-def cmd_thresholds(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_thresholds(config: RunConfig, args: argparse.Namespace, out: TextIO) -> int:
     if args.kmax < 1:
         raise ConfigError("empty copy-count range")
     n_hi = args.n_max if args.n_max is not None else config.n_qubits
@@ -164,20 +156,21 @@ def cmd_thresholds(config: RunConfig, args: argparse.Namespace) -> int:
         crit = gme.partition_separability_threshold(n)
         rows.append({"N": n, "k": None, "p_threshold": crit.p_threshold,
                      "kind": crit.kind})
-    _emit(rows, ["N", "k", "p_threshold", "kind"], config)
+    _emit(rows, ["N", "k", "p_threshold", "kind"], config, out)
     return EXIT_OK
 
 
-def cmd_concurrence(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_concurrence(config: RunConfig, args: argparse.Namespace, out: TextIO) -> int:
     rows = []
     for p in config.grid():
         c = gme.gm_concurrence_isotropic(config.n_qubits, p)
         rows.append({"p": p, "c_gm": c, "is_gme": c > 0})
-    _emit(rows, ["p", "c_gm", "is_gme"], config)
+    _emit(rows, ["p", "c_gm", "is_gme"], config, out)
     return EXIT_OK
 
 
-def cmd_verify_decomposition(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_verify_decomposition(config: RunConfig, args: argparse.Namespace,
+                             out: TextIO) -> int:
     if config.n_qubits != 3:
         raise separability.UnsupportedNError(
             "the two-copy decomposition is constructed for N = 3 only")
@@ -209,11 +202,11 @@ def cmd_verify_decomposition(config: RunConfig, args: argparse.Namespace) -> int
             "valid": r["valid"],
             "gamma1_correction_applied": r["gamma1_correction_applied"],
         } for r in rows]
-        _write(_json_text(payload), config)
+        out.write(_json_text(payload))
     else:
         _emit(rows, ["p", "residual_max", "weight_rho_diag", "weight_gamma_1",
                      "weight_gamma_2", "weight_sigma", "diag_min", "valid",
-                     "gamma1_correction_applied"], config)
+                     "gamma1_correction_applied"], config, out)
     worst = _worst(r["residual_max"] for r in rows)
     if not worst <= config.tolerance:
         print(f"decomposition residual {worst:.3e} exceeds tolerance "
@@ -222,7 +215,7 @@ def cmd_verify_decomposition(config: RunConfig, args: argparse.Namespace) -> int
     return EXIT_OK
 
 
-def cmd_ppt_scan(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_ppt_scan(config: RunConfig, args: argparse.Namespace, out: TextIO) -> int:
     if config.n_qubits < 2:
         raise ConfigError("ppt-scan needs at least 2 qubits")
     if config.n_qubits > PPT_SCAN_MAX_N:
@@ -236,7 +229,7 @@ def cmd_ppt_scan(config: RunConfig, args: argparse.Namespace) -> int:
             eig = float(xform_pt_spectrum(state, cut.blocks[0])[0])
             rows.append({"p": p, "cut": str(cut), "min_pt_eig": eig,
                          "ppt": eig >= -1e-10})
-    _emit(rows, ["p", "cut", "min_pt_eig", "ppt"], config)
+    _emit(rows, ["p", "cut", "min_pt_eig", "ppt"], config, out)
     return EXIT_OK
 
 
@@ -250,7 +243,7 @@ def _parse_param(spec: str, name: str) -> float | None:
         raise ConfigError(f"--{name} must be a number or 't', got {spec!r}")
 
 
-def cmd_witness_scan(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_witness_scan(config: RunConfig, args: argparse.Namespace, out: TextIO) -> int:
     px, py, pz = (_parse_param(getattr(args, name), name) for name in "xyz")
     rows = []
     for t in config.grid():
@@ -267,7 +260,7 @@ def cmd_witness_scan(config: RunConfig, args: argparse.Namespace) -> int:
         rows.append({"x": xv, "y": yv, "z": zv, "closed_form": closed,
                      "dense_trace": dense, "gme_detected": closed < 0})
     _emit(rows, ["x", "y", "z", "closed_form", "dense_trace", "gme_detected"],
-          config)
+          config, out)
     worst = _worst(abs(r["closed_form"] - r["dense_trace"]) for r in rows)
     if not worst <= config.tolerance:
         print(f"closed-form vs dense mismatch {worst:.3e} exceeds "
@@ -276,7 +269,7 @@ def cmd_witness_scan(config: RunConfig, args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_locc_demo(config: RunConfig, args: argparse.Namespace) -> int:
+def cmd_locc_demo(config: RunConfig, args: argparse.Namespace, out: TextIO) -> int:
     p1, p2, p3, x, y, z = args.p1, args.p2, args.p3, args.x, args.y, args.z
     source = boundent.biseparable_source_state(p1, p2, p3, x, y, z)
     result = boundent.simulate_locc_triangle((source, source, source))
@@ -310,7 +303,7 @@ def cmd_locc_demo(config: RunConfig, args: argparse.Namespace) -> int:
     # Opened before the report is written, so an unwritable path prints nothing.
     with (_open_output(args.dump_state) if args.dump_state
           else contextlib.nullcontext()) as dump:
-        _write(_json_text(report), config)
+        out.write(_json_text(report))
         if dump is not None:
             write_entries_json(result.state.global_dims, indices, values, dump)
             dump.write("\n")
@@ -399,7 +392,11 @@ def main(argv: list[str] | None = None) -> int:
     args = _PARSER.parse_args(argv)
     try:
         config = RunConfig(**{k: v for k, v in vars(args).items() if k in _CONFIG_FIELDS})
-        return args.handler(config, args)
+        # The one output stream, opened before the handler computes anything,
+        # so that an unwritable --out exits at once.
+        with (_open_output(config.output_path) if config.output_path
+              else contextlib.nullcontext(sys.stdout)) as out:
+            return args.handler(config, args, out)
     except ValueError as exc:   # ConfigError, UnsupportedNError and every domain error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, TAU_TRACE, hadamard
+from .linalg import TAU_TRACE
 from .states import XFormState, _check_isotropic_p
 
 __all__ = [
@@ -37,7 +37,6 @@ __all__ = [
     "single_copy_threshold",
     "k_copy_threshold",
     "partition_separability_threshold",
-    "hadamard_map",
     "iterated_hadamard",
     "activation_classification",
 ]
@@ -131,21 +130,6 @@ def partition_separability_threshold(n_qubits: int) -> ThresholdReport:
         raise ValueError("need at least 2 qubits")
     value = 1 / (1 + 2 ** (n_qubits - 1))   # exact integer division, any N
     return ThresholdReport(n_qubits, None, value, "partition_separability")
-
-
-def hadamard_map(rho: DensityMatrix, sigma: DensityMatrix) -> DensityMatrix:
-    """Normalized Schur product of two states on the same space.
-
-    The Schur product of PSD matrices is PSD, so the result is a state; this
-    is asserted at construction.
-    """
-    if rho.dims != sigma.dims:
-        raise ValueError(f"dimension mismatch: {rho.dims} vs {sigma.dims}")
-    prod = hadamard(rho.mat, sigma.mat)
-    tr = float(np.trace(prod).real)
-    if tr <= TAU_TRACE:
-        raise ZeroTraceError(f"Schur product has trace {tr}")
-    return DensityMatrix(prod / tr, rho.dims, normalized=True, state=True)
 
 
 def iterated_hadamard(x: XFormState, k: int) -> XFormState:

@@ -133,15 +133,6 @@ def tensor(a: DensityMatrix, b: DensityMatrix) -> DensityMatrix:
                       state=a.state and b.state)
 
 
-def hadamard(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Componentwise (Schur) product of two equal-shape matrices."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError(f"shape mismatch: {a.shape} vs {b.shape}")
-    return a * b
-
-
 def _check_subsystems(dm: DensityMatrix, subsystems: Iterable[int]) -> list[int]:
     subs = sorted(set(int(s) for s in subsystems))
     for s in subs:
@@ -262,15 +253,6 @@ def write_entries_json(dims: Sequence[int], indices: np.ndarray, values: np.ndar
             start = end
         fh.write("]")
     fh.write("}")
-
-
-def write_density_matrix_json(dm: DensityMatrix, fh: TextIO) -> None:
-    """Write the bytes of ``json.dump(density_matrix_to_json(dm), fh)``: the
-    entries whose real or imaginary bits are not those of +0.0 go through
-    :func:`write_entries_json`."""
-    flat = dm.mat.reshape(-1)
-    indices = np.flatnonzero(flat.real.view(np.uint64) | flat.imag.view(np.uint64))
-    write_entries_json(dm.dims, indices, flat[indices], fh)
 
 
 def density_matrix_from_json(obj: dict, normalized: bool = True,

@@ -38,7 +38,6 @@ from typing import Callable
 
 import numpy as np
 
-from .gme import partition_separability_threshold
 from .linalg import TAU_TRACE, DensityMatrix, _unchecked
 from .states import Partition, isotropic_ghz, xform_pt_spectrum, xform_to_dense
 
@@ -448,11 +447,6 @@ def bisep_validity_interval() -> tuple[float, float]:
     return lo, hi
 
 
-def ppt_crit(n_qubits: int) -> float:
-    """Partition-separability (equivalently PPT) threshold 1/(1 + 2^(N-1))."""
-    return partition_separability_threshold(n_qubits).p_threshold
-
-
 def all_bipartitions(n_qubits: int) -> list[Partition]:
     """All 2^(N-1) - 1 bipartitions of N parties, each listed once."""
     parties = set(range(n_qubits))
@@ -469,9 +463,10 @@ def all_bipartitions(n_qubits: int) -> list[Partition]:
 def pt_min_eig_isotropic(n_qubits: int, p: float, cut: Partition) -> float:
     """Minimum eigenvalue of the partial transpose across a bipartition.
 
-    Negative exactly when p exceeds ``ppt_crit``; by the permutation symmetry
-    of the state the sign does not depend on the chosen cut.  Computed
-    blockwise from the X-form by ``xform_pt_spectrum``.
+    Negative exactly when p exceeds the partition-separability threshold
+    1/(1 + 2^(N-1)); by the permutation symmetry of the state the sign does
+    not depend on the chosen cut.  Computed blockwise from the X-form by
+    ``xform_pt_spectrum``.
     """
     if len(cut.blocks) != 2 or cut.n_parties != n_qubits:
         raise ValueError("cut must be a bipartition of all parties")

@@ -36,7 +36,6 @@ TAU_X = 1e-12  # absolute threshold for entries that must vanish in X-form
 DENSE_DIM_LIMIT = 4096  # largest dense expansion of a product-form state (256 MiB)
 
 __all__ = [
-    "NotXFormError",
     "ZeroProbabilityError",
     "XFormState",
     "Partition",
@@ -46,9 +45,7 @@ __all__ = [
     "isotropic_ghz",
     "isotropic_p_range",
     "xform_to_dense",
-    "xform_from_dense",
     "xform_pt_spectrum",
-    "pure_state_dm",
     "product_form_tensor",
     "product_form_project",
     "product_form_partial_trace",
@@ -58,10 +55,6 @@ __all__ = [
     "product_form_to_json",
     "product_form_from_json",
 ]
-
-
-class NotXFormError(ValueError):
-    """Raised when a dense matrix has support off the diagonal and anti-diagonal."""
 
 
 class ZeroProbabilityError(ValueError):
@@ -164,25 +157,6 @@ def xform_to_dense(x: XFormState) -> DensityMatrix:
     return _unchecked(mat, (2,) * x.n_qubits, normalized=normalized, state=True)
 
 
-def xform_from_dense(dm: DensityMatrix) -> XFormState:
-    """Extract (a, b, z) from a dense matrix, or raise :class:`NotXFormError`."""
-    if any(d != 2 for d in dm.dims):
-        raise ValueError("X-form extraction requires an all-qubit operator")
-    d = dm.dim
-    mask = np.ones((d, d), dtype=bool)
-    idx = np.arange(d)
-    mask[idx, idx] = False
-    mask[idx, d - 1 - idx] = False
-    worst = float(np.abs(dm.mat[mask]).max()) if mask.any() else 0.0
-    if worst > TAU_X:
-        raise NotXFormError(f"entry of magnitude {worst:.3e} off the diagonal/anti-diagonal")
-    n = d // 2
-    a = dm.mat[idx[:n], idx[:n]].real
-    b = dm.mat[d - 1 - idx[:n], d - 1 - idx[:n]].real
-    z = dm.mat[idx[:n], d - 1 - idx[:n]]
-    return XFormState(len(dm.dims), a, b, z)
-
-
 def xform_pt_spectrum(x: XFormState, subsystems) -> np.ndarray:
     """Ascending eigenvalues of the partial transpose of an X-form operator.
 
@@ -205,12 +179,6 @@ def xform_pt_spectrum(x: XFormState, subsystems) -> np.ndarray:
     mean = (x.a + x.b) / 2
     radius = np.hypot((x.a - x.b) / 2, z_pt)
     return np.sort(np.concatenate([mean - radius, mean + radius]))
-
-
-def pure_state_dm(vector: np.ndarray, dims: tuple[int, ...]) -> DensityMatrix:
-    """Rank-1 density matrix |v><v| of a unit vector."""
-    v = np.asarray(vector, dtype=complex)
-    return DensityMatrix(np.outer(v, v.conj()), dims)
 
 
 @dataclass(frozen=True)
@@ -273,13 +241,14 @@ class ProductFormState:
         if not self.terms:
             raise ValueError("need at least one term")
         for t in self.terms:
-            if t.weight < -TAU_TRACE:
-                raise ValueError(f"negative term weight {t.weight}")
+            # Written ``not lo <= w`` so that NaN fails the check too.
+            if not -TAU_TRACE <= t.weight < math.inf:
+                raise ValueError(f"term weight {t.weight} is negative or not finite")
             if t.dims != gd:
                 raise ValueError(f"term dims {t.dims} do not match global dims {gd}")
         if self.normalized:
             total = sum(t.weight for t in self.terms)
-            if abs(total - 1.0) > 1e-10:
+            if not abs(total - 1.0) <= 1e-10:
                 raise ValueError(f"weights sum to {total}, expected 1")
 
     @property
@@ -329,10 +298,10 @@ def product_form_project(s: ProductFormState, subsystem: int,
     for term in s.terms:
         fi, local = _locate_factor(term, subsystem)
         f = term.factors[fi]
-        before = int(np.prod(f.dims[:local], dtype=np.int64))
-        after = int(np.prod(f.dims[local + 1:], dtype=np.int64))
-        big = np.kron(np.kron(np.eye(before), proj), np.eye(after))
-        projected = big @ f.mat @ big
+        split = (math.prod(f.dims[:local]), f.dims[local], math.prod(f.dims[local + 1:])) * 2
+        # P f P with P acting on the local axis of both the rows and the columns.
+        projected = np.einsum("ij,ajbckd,kl->aibcld", proj, f.mat.reshape(split),
+                              proj).reshape(f.dim, f.dim)
         tr_new = float(np.trace(projected).real)
         tr_old = f.trace
         q = tr_new / tr_old if tr_old > 0 else 0.0

@@ -11,6 +11,7 @@ import numpy as np
 
 import gme_lab as gl
 from gme_lab.states import product_form_to_dense
+from oracles import project_triangle_to_D
 
 
 def report(number, description, started, budget):
@@ -25,7 +26,7 @@ def test_criterion_01_threshold_reproduction():
     r3 = math.sqrt(3)
     assert abs(gl.k_copy_threshold(3, 2).p_threshold - r3 / (4 + r3)) <= 1e-12
     assert abs(gl.k_copy_threshold(3, 2).p_threshold - 0.302169479252) <= 1e-12
-    assert abs(gl.ppt_crit(3) - 0.2) <= 1e-12
+    assert abs(gl.partition_separability_threshold(3).p_threshold - 0.2) <= 1e-12
     report(1, "single-copy, two-copy, and separability thresholds at N=3", t0, 1.0)
 
 
@@ -95,7 +96,8 @@ def test_criterion_06_pt_spectrum_and_crit():
                     lo = mid
                 if hi - lo < 1e-9:
                     break
-            assert abs(0.5 * (lo + hi) - gl.ppt_crit(n)) <= 1e-8, (n, cut)
+            crit = gl.partition_separability_threshold(n).p_threshold
+            assert abs(0.5 * (lo + hi) - crit) <= 1e-8, (n, cut)
     report(6, "analytic PT eigenvalue present; sign flips at p_crit on every cut",
            t0, 10.0)
 
@@ -140,7 +142,7 @@ def test_criterion_09_locc_end_to_end():
     produced = product_form_to_dense(result.state).mat
     expected = product_form_to_dense(gl.triangle_state(x, y, z)).mat
     assert np.abs(produced - expected).max() <= 1e-12
-    state, prob = gl.project_triangle_to_D(result.state)
+    state, prob = project_triangle_to_D(result.state)
     witness = prob * float(np.trace(gl.witness_w3().mat @ state.mat).real)
     assert witness < 0
     assert abs(witness - gl.witness_trace_triangle(x, y, z)) <= 1e-10
@@ -152,7 +154,7 @@ def test_criterion_09_locc_end_to_end():
 def test_criterion_10_asymptotic_collapse():
     t0 = time.perf_counter()
     for n in range(3, 7):
-        crit = gl.ppt_crit(n)
+        crit = gl.partition_separability_threshold(n).p_threshold
         gaps = [gl.k_copy_threshold(n, k).p_threshold - crit
                 for k in (1, 2, 4, 10, 100, 1000, 10_000)]
         assert all(g > 0 for g in gaps)

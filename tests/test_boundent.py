@@ -11,8 +11,6 @@ from gme_lab.boundent import (
     FLAG_DIM,
     NonPositiveParameterError,
     biseparable_source_state,
-    project_triangle_to_D,
-    project_wedge_to_D,
     qutrit_ppt_normalization,
     qutrit_ppt_state,
     simulate_locc_triangle,
@@ -28,6 +26,7 @@ from gme_lab.boundent import (
 from gme_lab.linalg import DensityMatrix, min_eigenvalue_hermitian, partial_transpose
 from gme_lab.states import (ProductFormState, ProductTerm, ZeroProbabilityError,
                             product_form_to_dense)
+from oracles import project_triangle_to_D, project_wedge_to_D
 
 
 # ------------------------------------------------------------- pair family

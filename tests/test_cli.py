@@ -660,6 +660,25 @@ def test_out_in_a_missing_directory_exits_2(tmp_path, capsys, argv):
     assert not path.parent.exists()
 
 
+def test_unwritable_out_exits_2_before_any_row_is_computed(tmp_path, capsys, monkeypatch):
+    def computed(*args):
+        raise AssertionError("a row was computed")
+    monkeypatch.setattr(gme, "k_copy_threshold", computed)
+    path = tmp_path / "missing-dir" / "t.csv"
+    code, out, err = run(capsys, "thresholds", "--n", "2", "--n-max", "201",
+                         "--kmax", "999", "--out", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith(f"error: cannot write {path}: ") and err.count("\n") == 1
+
+
+def test_out_is_left_empty_by_a_later_error(tmp_path, capsys):
+    path = tmp_path / "report.json"
+    code, out, err = run(capsys, "locc-demo", "--x", "0", "--out", str(path))
+    assert (code, out) == (EXIT_CONFIG, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert path.read_text() == ""
+
+
 def test_dump_state_at_a_directory_exits_2_before_the_report(tmp_path, capsys):
     code, out, err = run(capsys, "locc-demo", "--dump-state", str(tmp_path))
     assert (code, out) == (EXIT_CONFIG, "")

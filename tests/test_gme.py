@@ -12,14 +12,14 @@ from gme_lab.gme import (
     activation_classification,
     gm_concurrence_isotropic,
     gm_concurrence_xform,
-    hadamard_map,
     iterated_hadamard,
     k_copy_threshold,
     partition_separability_threshold,
     single_copy_threshold,
 )
 from gme_lab.linalg import DensityMatrix
-from gme_lab.states import isotropic_ghz, isotropic_p_range, xform_from_dense, xform_to_dense
+from gme_lab.states import isotropic_ghz, isotropic_p_range, xform_to_dense
+from oracles import hadamard_map, xform_from_dense
 
 
 def two_copy_cross_check(n_qubits: int, p: float) -> float:

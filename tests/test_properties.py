@@ -5,9 +5,12 @@ expansion only places them (checked against an entry-by-entry loop), and ``produ
 products as the dense expansion, as do ``product_form_entries`` and the
 JSON writer fed with them, so these properties hold bit for bit.
 Operators are drawn from a seed and a scale (down to 1e-300, up to 1e300)
-over one to three qubit or qutrit subsystems.  The witness closed forms are
-another formula than their dense gathers, and agree with them to 1e-13 over
-log-uniform parameters in [1e-4, 1e4].  The search is derandomized and keeps
+over one to three qubit or qutrit subsystems.  ``product_form_project``
+equals its Kronecker-product form bit for bit on diagonal 0/1 projectors and
+to 1e-14 on general ones.  The witness closed forms are another formula than
+their dense gathers, and agree with them to 1e-13 over log-uniform
+parameters in [1e-4, 1e4], as ``iterated_hadamard`` agrees with the k-fold
+dense Schur product to 1e-12.  The search is derandomized and keeps
 no example database, so runs are repeatable.
 """
 
@@ -15,9 +18,11 @@ import io
 import json
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from gme_lab.gme import iterated_hadamard
 from gme_lab.boundent import (
     witness_trace_triangle,
     witness_trace_triangle_dense,
@@ -35,13 +40,14 @@ from gme_lab.states import (
     ProductFormState,
     ProductTerm,
     XFormState,
+    ZeroProbabilityError,
     product_form_entries,
     product_form_project,
     product_form_submatrix,
     product_form_to_dense,
-    xform_from_dense,
     xform_to_dense,
 )
+from oracles import hadamard_map, product_form_project_kron, xform_from_dense
 
 PROPERTY = settings(database=None, derandomize=True, deadline=None, max_examples=40,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -183,6 +189,82 @@ def test_entries_fed_writer_equals_json_dump_of_the_expansion(s):
     json.dump(density_matrix_to_json(product_form_to_dense(s)), oracle)
     write_entries_json(s.global_dims, *product_form_entries(s), streamed)
     assert streamed.getvalue() == oracle.getvalue()
+
+
+def same_bits(got, want):
+    """Equal weights, totals and factor entries, bit for bit."""
+    (s, total), (t, want_total) = got, want
+    assert np.float64(total).tobytes() == np.float64(want_total).tobytes()
+    assert len(s.terms) == len(t.terms)
+    for a, b in zip(s.terms, t.terms):
+        assert np.float64(a.weight).tobytes() == np.float64(b.weight).tobytes()
+        for fa, fb in zip(a.factors, b.factors, strict=True):
+            assert fa.mat.tobytes() == fb.mat.tobytes()
+
+
+def close(got, want, tol):
+    (s, total), (t, want_total) = got, want
+    assert abs(total - want_total) <= tol
+    assert len(s.terms) == len(t.terms)
+    for a, b in zip(s.terms, t.terms):
+        assert abs(a.weight - b.weight) <= tol
+        for fa, fb in zip(a.factors, b.factors, strict=True):
+            assert np.abs(fa.mat - fb.mat).max() <= tol
+
+
+@PROPERTY
+@given(s=product_forms(), data=st.data())
+def test_projection_equals_the_kron_form(s, data):
+    """A diagonal 0/1 projector moves or zeroes entries, as the Kronecker
+    form's products do, so the two agree bit for bit; a general projector
+    sums products in another order, so to rounding."""
+    target = data.draw(st.integers(0, len(s.global_dims) - 1))
+    d = s.global_dims[target]
+    keep = data.draw(st.lists(st.booleans(), min_size=d, max_size=d))
+    diagonal = np.diag(np.array(keep, dtype=float)).astype(complex)
+    try:
+        want = product_form_project_kron(s, target, diagonal)
+    except ZeroProbabilityError:
+        with pytest.raises(ZeroProbabilityError):
+            product_form_project(s, target, diagonal)
+    else:
+        same_bits(product_form_project(s, target, diagonal), want)
+    rng = np.random.default_rng(data.draw(SEEDS))
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    rank = data.draw(st.integers(1, d))
+    general = q[:, :rank] @ q[:, :rank].conj().T
+    try:
+        want = product_form_project_kron(s, target, general)
+    except ZeroProbabilityError:
+        return
+    close(product_form_project(s, target, general), want, 1e-14)
+
+
+@st.composite
+def xform_states(draw):
+    """A normalized X-form state on two to five qubits, some blocks with a
+    coherence at its bound |z| = sqrt(a b) and some with none."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(SEEDS))
+    half = 2 ** (n - 1)
+    a, b = rng.random(half), rng.random(half)
+    reach = rng.choice([0.0, rng.random(), 1.0], size=half)
+    z = np.sqrt(a * b) * reach * np.exp(1j * rng.uniform(-np.pi, np.pi, half))
+    trace = a.sum() + b.sum()
+    return XFormState(n, a / trace, b / trace, z / trace)
+
+
+@PROPERTY
+@given(x=xform_states(), k=st.integers(1, 4))
+def test_iterated_hadamard_equals_the_dense_schur_power(x, k):
+    one = xform_to_dense(x)
+    dense = one
+    for _ in range(k - 1):
+        dense = hadamard_map(dense, one)
+    want = xform_from_dense(dense)
+    got = iterated_hadamard(x, k)
+    for g, w in ((got.a, want.a), (got.b, want.b), (got.z, want.z)):
+        assert np.abs(g - w).max() <= 1e-12
 
 
 LOG_UNIFORM = st.floats(-4.0, 4.0).map(lambda e: 10.0 ** e)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gme_lab.gme import k_copy_threshold
+from gme_lab.gme import k_copy_threshold, partition_separability_threshold
 from gme_lab.linalg import (min_eigenvalue_hermitian, partial_transpose,
                              permute_subsystems, tensor)
 from gme_lab.separability import (
@@ -25,7 +25,6 @@ from gme_lab.separability import (
     gamma_base,
     gamma_big_1,
     gamma_big_2,
-    ppt_crit,
     pt_min_eig_isotropic,
     rho_diag_closed_form,
     search_gamma1_correction,
@@ -416,9 +415,9 @@ def test_validity_flag_changes_across_interval_edge():
 # ------------------------------------------------------------- PPT criterion
 
 def test_ppt_crit_values():
-    assert np.isclose(ppt_crit(3), 0.2, atol=1e-15)
-    assert np.isclose(ppt_crit(2), 1 / 3, atol=1e-15)
-    assert np.isclose(ppt_crit(4), 1 / 9, atol=1e-15)
+    assert np.isclose(partition_separability_threshold(3).p_threshold, 0.2, atol=1e-15)
+    assert np.isclose(partition_separability_threshold(2).p_threshold, 1 / 3, atol=1e-15)
+    assert np.isclose(partition_separability_threshold(4).p_threshold, 1 / 9, atol=1e-15)
 
 
 def test_pt_min_eig_boundary():
@@ -441,7 +440,7 @@ def test_all_bipartitions_counts():
 
 @pytest.mark.parametrize("n", [3, 4, 5])
 def test_pt_sign_is_cut_independent(n):
-    crit = ppt_crit(n)
+    crit = partition_separability_threshold(n).p_threshold
     for p in (crit - 0.05, crit + 0.05, 0.6):
         signs = {pt_min_eig_isotropic(n, p, cut) < -1e-12
                  for cut in all_bipartitions(n)}

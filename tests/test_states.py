@@ -1,5 +1,6 @@
 """Tests for the state families and the product-form representation."""
 
+import math
 import warnings
 from itertools import combinations
 
@@ -8,7 +9,6 @@ import pytest
 
 from gme_lab.linalg import DensityMatrix, partial_transpose, permute_subsystems, tensor
 from gme_lab.states import (
-    NotXFormError,
     Partition,
     ProductFormState,
     ProductTerm,
@@ -24,11 +24,10 @@ from gme_lab.states import (
     product_form_tensor,
     product_form_to_dense,
     product_form_to_json,
-    pure_state_dm,
-    xform_from_dense,
     xform_pt_spectrum,
     xform_to_dense,
 )
+from oracles import NotXFormError, xform_from_dense
 
 
 # ------------------------------------------------------------- GHZ vector
@@ -279,7 +278,8 @@ def test_product_tensor_term_counts_multiply():
     def three_term():
         kets = [np.array([1, 0], dtype=complex), np.array([0, 1], dtype=complex),
                 np.array([1, 1], dtype=complex) / np.sqrt(2)]
-        terms = tuple(ProductTerm(1 / 3, (pure_state_dm(k, (2,)),)) for k in kets)
+        terms = tuple(ProductTerm(1 / 3, (DensityMatrix(np.outer(k, k.conj()), (2,)),))
+                      for k in kets)
         return ProductFormState(terms, (2,))
 
     out = product_form_tensor(product_form_tensor(three_term(), three_term()),
@@ -288,7 +288,7 @@ def test_product_tensor_term_counts_multiply():
 
 
 def test_product_dense_matches_kron_oracle():
-    a = pure_state_dm(np.array([1, 1], dtype=complex) / np.sqrt(2), (2,))
+    a = DensityMatrix(np.full((2, 2), 0.5), (2,))   # |+><+|
     b = DensityMatrix(np.diag([0.75, 0.25]).astype(complex), (2,))
     s = ProductFormState(
         (ProductTerm(0.4, (a, b)), ProductTerm(0.6, (b, a))), (2, 2))
@@ -298,8 +298,8 @@ def test_product_dense_matches_kron_oracle():
 
 
 def test_product_project_drops_orthogonal_term():
-    zero = pure_state_dm(np.array([1, 0], dtype=complex), (2,))
-    one = pure_state_dm(np.array([0, 1], dtype=complex), (2,))
+    zero = DensityMatrix(np.diag([1.0, 0.0]), (2,))
+    one = DensityMatrix(np.diag([0.0, 1.0]), (2,))
     s = ProductFormState(
         (ProductTerm(0.5, (zero,)), ProductTerm(0.5, (one,))), (2,))
     proj = np.diag([0.0, 1.0]).astype(complex)  # complement of |0>
@@ -338,7 +338,7 @@ def test_product_project_commutes_with_dense():
 
 
 def test_product_project_zero_probability():
-    zero = pure_state_dm(np.array([1, 0], dtype=complex), (2,))
+    zero = DensityMatrix(np.diag([1.0, 0.0]), (2,))
     s = ProductFormState((ProductTerm(1.0, (zero,)),), (2,))
     with pytest.raises(ZeroProbabilityError):
         product_form_project(s, 0, np.diag([0.0, 1.0]).astype(complex))
@@ -351,7 +351,8 @@ def test_product_project_validates_projector():
 
 
 def test_product_partial_trace_within_factor():
-    bell = pure_state_dm(np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2), (2, 2))
+    v = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2)
+    bell = DensityMatrix(np.outer(v, v.conj()), (2, 2))
     s = ProductFormState((ProductTerm(1.0, (bell, qutrit_mixed())),), (2, 2, 3))
     out = product_form_partial_trace(s, {1, 2})
     assert out.global_dims == (2,)
@@ -365,6 +366,30 @@ def test_product_json_roundtrip():
     assert back.global_dims == s.global_dims
     assert np.allclose(product_form_to_dense(back).mat,
                        product_form_to_dense(s).mat)
+
+
+@pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, -1e-3])
+@pytest.mark.parametrize("normalized", [True, False])
+def test_product_state_rejects_a_negative_or_non_finite_weight(weight, normalized):
+    with pytest.raises(ValueError, match="negative or not finite"):
+        ProductFormState((ProductTerm(weight, (qutrit_mixed(),)),), (3,),
+                         normalized=normalized)
+
+
+def test_product_state_rejects_weights_that_do_not_sum_to_1():
+    terms = tuple(ProductTerm(w, (qutrit_mixed(),)) for w in (0.5, 0.4))
+    with pytest.raises(ValueError, match="weights sum to"):
+        ProductFormState(terms, (3,))
+    ProductFormState(terms, (3,), normalized=False)
+
+
+@pytest.mark.parametrize("weight", ["NaN", "Infinity", "-Infinity"])
+def test_product_json_rejects_a_non_finite_weight(weight):
+    obj = product_form_to_json(
+        ProductFormState((ProductTerm(1.0, (qutrit_mixed(),)),), (3,)))
+    obj["terms"][0]["weight"] = weight
+    with pytest.raises(ValueError):
+        product_form_from_json(obj)
 
 
 def test_product_submatrix_equals_dense_oracle_exactly():
